@@ -41,6 +41,7 @@ by the pruning-soundness tests.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -51,6 +52,8 @@ from repro.analysis.explorer.record import (
 from repro.analysis.protocol import spec_for
 from repro.errors import SimulationError
 from repro.mem.address import Region
+
+_MASK64 = (1 << 64) - 1
 
 
 @dataclass
@@ -91,10 +94,16 @@ class CrashStateModel:
         self.max_lag = max_lag
         self.amap = recording.config.address_map()
         self.spec = spec_for(recording.scheme)
+        self._branches: dict[int, frozenset[tuple[int, int]]] = {}
         self.units = self._build_units()
-        self._event_domains = self._domain_table()
         self._link_units()
         self._down_cache: dict[int, frozenset[int]] = {}
+        self._build_replay()
+        #: Content-keyed MAC memo shared by every controller
+        #: :func:`~repro.analysis.explorer.oracle.materialize` builds
+        #: from this model.  One model has one config, hence one MAC key,
+        #: so a memo hit is always the MAC the controller would compute.
+        self.mac_memo: dict[tuple, int] = {}
 
     # -- unit formation -------------------------------------------------
     def _build_units(self) -> list[PersistUnit]:
@@ -135,12 +144,19 @@ class CrashStateModel:
     def _branch_of(self, event: PersistEvent) -> frozenset[tuple[int, int]]:
         """Interned branch coordinates (node + all tree ancestors) of a
         metadata line write; DATA lines have no branch footprint."""
+        branches = self._branches.get(event.addr)
+        if branches is None:
+            branches = self._branches[event.addr] = \
+                self._branch_coords(event.addr)
+        return branches
+
+    def _branch_coords(self, addr: int) -> frozenset[tuple[int, int]]:
         amap = self.amap
-        region = amap.region_of(event.addr)
+        region = amap.region_of(addr)
         if region is Region.COUNTER:
-            coords = (0, amap.counter_block_index(event.addr))
+            coords = (0, amap.counter_block_index(addr))
         elif region is Region.TREE:
-            coords = amap.tree_node_coords(event.addr)
+            coords = amap.tree_node_coords(addr)
         else:
             return frozenset()
         out = set()
@@ -152,64 +168,48 @@ class CrashStateModel:
             level, index = amap.parent_coords(level, index)
         return frozenset(out)
 
-    def _domain_table(self) -> dict[int, frozenset]:
-        """seq -> conflict tokens of that event (enqueues: empty)."""
-        use_branches = self.spec is not None
-        table: dict[int, frozenset] = {}
-        for unit in self.units:
-            for event in unit.events:
-                if event.kind == KIND_ENQUEUE:
-                    table[event.seq] = frozenset()
-                elif event.kind == KIND_LINE:
-                    tokens = {("line", event.addr)}
-                    if use_branches:
-                        tokens.update(("branch", c)
-                                      for c in self._branch_of(event))
-                    table[event.seq] = frozenset(tokens)
-                else:
-                    table[event.seq] = frozenset(
-                        {("reg", event.register, event.slot)})
-        return table
+    def _tokens_of(self, event: PersistEvent) -> list[tuple]:
+        """Conflict tokens of one event (enqueues: none)."""
+        if event.kind == KIND_ENQUEUE:
+            return []
+        if event.kind == KIND_LINE:
+            tokens: list[tuple] = [("line", event.addr)]
+            if self.spec is not None:
+                tokens.extend(("branch", c) for c in self._branch_of(event))
+            return tokens
+        return [("reg", event.register, event.slot)]
 
     # -- ordering DAG ---------------------------------------------------
     def _link_units(self) -> None:
-        n = len(self.units)
-        succs: list[set[int]] = [set() for _ in range(n)]
-        cyclic = False
-        for i in range(n):
-            for j in range(i + 1, n):
-                fwd, back = self._directions(self.units[i], self.units[j])
-                if fwd:
-                    succs[i].add(j)
-                if back:
-                    succs[j].add(i)
-                cyclic = cyclic or (fwd and back)
-        if cyclic:
-            succs = self._condense(succs)
+        """Order units through a per-token index: for every conflict
+        token keep each unit's first and last event seq on it; unit a
+        precedes unit b through that token iff ``first_a < last_b``
+        (some event of a conflicts with a later event of b)."""
+        spans: dict[tuple, dict[int, list[int]]] = {}
+        for unit in self.units:
+            for event in unit.events:
+                for token in self._tokens_of(event):
+                    per_unit = spans.setdefault(token, {})
+                    span = per_unit.get(unit.index)
+                    if span is None:
+                        per_unit[unit.index] = [event.seq, event.seq]
+                    else:
+                        span[1] = event.seq     # unit events are seq-ordered
+        succs: list[set[int]] = [set() for _ in self.units]
+        for per_unit in spans.values():
+            if len(per_unit) < 2:
+                continue
+            by_last = sorted(per_unit, key=lambda u: per_unit[u][1])
+            lasts = [per_unit[u][1] for u in by_last]
+            for a, (first, _) in per_unit.items():
+                succs[a].update(by_last[bisect_right(lasts, first):])
+        for a, out in enumerate(succs):
+            out.discard(a)
         try:
             self._topo_reindex(succs)
         except SimulationError:
-            # Longer cycles with no mutually-ordered pair still condense.
+            # Mutually-ordered units (any cycle) condense into one.
             self._topo_reindex(self._condense(succs))
-
-    def _directions(self, a: PersistUnit,
-                    b: PersistUnit) -> tuple[bool, bool]:
-        """(a-before-b, b-before-a) over conflicting event pairs."""
-        fwd = back = False
-        domains = self._event_domains
-        for ea in a.events:
-            da = domains[ea.seq]
-            if not da:
-                continue
-            for eb in b.events:
-                if da & domains[eb.seq]:
-                    if ea.seq < eb.seq:
-                        fwd = True
-                    else:
-                        back = True
-                if fwd and back:
-                    return True, True
-        return fwd, back
 
     def _condense(self, succs: list[set[int]]) -> list[set[int]]:
         """Kosaraju SCC condensation: mutually-ordered units merge into
@@ -360,8 +360,7 @@ class CrashStateModel:
             down = self.down_set(m)
             others = [i for i in range(m) if i not in down]
             others_fs = frozenset(others)
-            succs_in = {i: [s for s in self.succs[i] if s in others_fs]
-                        for i in others}
+            succs_in = {i: self.succs[i] & others_fs for i in others}
             yield down | others_fs
             seen: set[frozenset[int]] = {frozenset()}
             frontier: list[frozenset[int]] = [frozenset()]
@@ -371,7 +370,7 @@ class CrashStateModel:
                     for i in others:
                         if i in lag:
                             continue
-                        if any(s not in lag for s in succs_in[i]):
+                        if not succs_in[i] <= lag:
                             continue
                         bigger = lag | {i}
                         if bigger in seen:
@@ -385,34 +384,58 @@ class CrashStateModel:
                 frontier = grown
 
     # -- state materialization ------------------------------------------
+    def _build_replay(self) -> None:
+        """Once per model: the state-carrying events (enqueues carry
+        none) as seq-ordered ``(unit, ...)`` streams — lines, data MACs,
+        plaintexts and registers are independent state, so each stream
+        replays on its own — plus the sorted line-address order (with
+        8-byte address prefixes) the canonical hash walks."""
+        replay = sorted(((unit.index, event) for unit in self.units
+                         for event in unit.events
+                         if event.kind != KIND_ENQUEUE),
+                        key=lambda item: item[1].seq)
+        writes = [(index, event) for index, event in replay
+                  if event.kind == KIND_LINE]
+        self._line_writes = [(index, event.addr, event.payload)
+                             for index, event in writes]
+        self._mac_writes = [(index, event.addr, event.data_mac)
+                            for index, event in writes
+                            if event.data_mac is not None]
+        self._text_writes = [(index, event.addr, event.plaintext)
+                             for index, event in writes
+                             if event.plaintext is not None]
+        self._reg_writes = [(index, event.kind == KIND_REG_ADD,
+                             event.register, event.slot, event.value)
+                            for index, event in replay
+                            if event.kind in (KIND_REG_ADD, KIND_REG_SET)]
+        addrs = set(self.recording.baseline_lines)
+        addrs.update(addr for _, addr, _ in self._line_writes)
+        self._line_order = [(addr, addr.to_bytes(8, "little"))
+                            for addr in sorted(addrs)]
+
     def state_of(self, cut: frozenset[int]) -> CrashState:
         """Replay the cut's events (in seq order) over the baseline
         image and produce the canonical post-crash state."""
         recording = self.recording
         lines = dict(recording.baseline_lines)
+        # Comprehensions keep the newest write per address: seq order.
+        lines.update({addr: payload for index, addr, payload
+                      in self._line_writes if index in cut})
+        data_macs = {addr: value for index, addr, value
+                     in self._mac_writes if index in cut}
+        plaintexts = {addr: text for index, addr, text
+                      in self._text_writes if index in cut}
         roots = {name: list(values)
                  for name, values in recording.baseline_roots.items()}
         mask = (1 << recording.counter_bits) - 1
-        data_macs: dict[int, int] = {}
-        plaintexts: dict[int, bytes] = {}
-        events = sorted((event for index in cut
-                         for event in self.units[index].events),
-                        key=lambda e: e.seq)
-        for event in events:
-            if event.kind == KIND_LINE:
-                lines[event.addr] = event.payload
-                if event.data_mac is not None:
-                    data_macs[event.addr] = event.data_mac
-                if event.plaintext is not None:
-                    plaintexts[event.addr] = event.plaintext
-            elif event.kind == KIND_REG_ADD:
-                counters = roots[event.register]
-                counters[event.slot] = \
-                    (counters[event.slot] + event.value) & mask
-            elif event.kind == KIND_REG_SET:
-                roots[event.register][event.slot] = event.value & mask
+        for index, add, register, slot, value in self._reg_writes:
+            if index in cut:
+                counters = roots[register]
+                if add:
+                    value += counters[slot]
+                counters[slot] = value & mask
         canonical = _canonical_hash(recording.scheme, lines, roots,
-                                    data_macs)
+                                    data_macs, self._line_order)
         return CrashState(cut=cut, lines=lines, roots=roots,
                           data_macs=data_macs, plaintexts=plaintexts,
                           canonical=canonical)
@@ -420,24 +443,24 @@ class CrashStateModel:
 
 def _canonical_hash(scheme: str, lines: dict[int, bytes],
                     roots: dict[str, list[int]],
-                    data_macs: dict[int, int]) -> str:
+                    data_macs: dict[int, int],
+                    line_order: list[tuple[int, bytes]]) -> str:
     """sha256 over the post-crash metadata image.  Line payloads are the
     node-image packing (``to_bytes``) the store wrote, so two cuts that
-    leave identical media and register state collapse to one hash."""
-    digest = hashlib.sha256()
-    digest.update(scheme.encode())
-    for addr in sorted(lines):
-        digest.update(addr.to_bytes(8, "little"))
-        digest.update(lines[addr])
+    leave identical media and register state collapse to one hash.
+
+    ``line_order`` is the model's sorted ``(addr, 8-byte prefix)`` list
+    of every address ``lines`` and ``data_macs`` can hold; absent
+    addresses are skipped."""
+    chunks = [scheme.encode()]
+    chunks += [prefix + lines[addr] for addr, prefix in line_order
+               if addr in lines]
     for name in sorted(roots):
-        digest.update(name.encode())
-        for value in roots[name]:
-            digest.update(value.to_bytes(8, "little"))
-    for addr in sorted(data_macs):
-        digest.update(addr.to_bytes(8, "little"))
-        digest.update((data_macs[addr] & ((1 << 64) - 1))
-                      .to_bytes(8, "little"))
-    return digest.hexdigest()
+        chunks.append(name.encode())
+        chunks += [value.to_bytes(8, "little") for value in roots[name]]
+    chunks += [prefix + (data_macs[addr] & _MASK64).to_bytes(8, "little")
+               for addr, prefix in line_order if addr in data_macs]
+    return hashlib.sha256(b"".join(chunks)).hexdigest()
 
 
 def brute_force_cuts(model: CrashStateModel) -> set[frozenset[int]]:

@@ -62,8 +62,14 @@ class CrashVerdict:
 
 def materialize(model: CrashStateModel, state: CrashState) -> Any:
     """Build a fresh controller whose NVM, root registers and data-MAC
-    shadows hold exactly the crash state's image."""
+    shadows hold exactly the crash state's image.
+
+    Every controller built from one model shares the model's
+    content-keyed MAC memo (one config, one key): a recomputed MAC over
+    unchanged content is a dict hit, while a tampered or newer image
+    forms a new memo key and is computed again."""
     controller = model.recording.factory()
+    controller.mac.memo = model.mac_memo
     for addr, payload in state.lines.items():
         controller.nvm.poke_line(addr, payload)
     controller.running_root.restore(state.roots["running_root"])
@@ -89,13 +95,14 @@ def evaluate_state(model: CrashStateModel, state: CrashState) -> CrashVerdict:
         recovered, detail = False, f"{type(exc).__name__}: {exc}"
     verdict.recovered = recovered
     if recovered:
-        audit_ok, audit_detail = _audit_counter_sums(model, state)
+        last = _durable_writes(model, state.cut)
+        audit_ok, audit_detail = _audit_counter_sums(model, last)
         if not audit_ok:
             verdict.missed_detection = True
             verdict.detail = ("recovery succeeded on an inconsistent "
                               f"image: {audit_detail}")
             return verdict
-        attack_detail = _attack_probes(model, state)
+        attack_detail = _attack_probes(model, state, last)
         if attack_detail is not None:
             verdict.missed_detection = True
             verdict.detail = attack_detail
@@ -125,14 +132,14 @@ def _durable_writes(model: CrashStateModel,
 
 
 def _audit_counter_sums(model: CrashStateModel,
-                        state: CrashState) -> tuple[bool, str]:
+                        last: dict[int, PersistEvent]) -> tuple[bool, str]:
     """Stream-order audit of durable level-1 nodes against their leaves
-    (see module docstring).  Purely structural — never runs the scheme's
-    own code, so a broken scheme cannot vouch for itself."""
+    (see module docstring), given the cut's :func:`_durable_writes`.
+    Purely structural — never runs the scheme's own code, so a broken
+    scheme cannot vouch for itself."""
     amap = model.amap
     if amap.tree_levels < 2:
         return True, ""
-    last = _durable_writes(model, state.cut)
     bits = amap.counter_bits
     for addr, event in last.items():
         if amap.region_of(addr) is not Region.TREE:
@@ -165,14 +172,15 @@ def _audit_counter_sums(model: CrashStateModel,
     return True, ""
 
 
-def _attack_probes(model: CrashStateModel, state: CrashState) -> str | None:
-    """Re-materialize the state, tamper, and demand recovery notices.
+def _attack_probes(model: CrashStateModel, state: CrashState,
+                   last: dict[int, PersistEvent]) -> str | None:
+    """Re-materialize the state, tamper, and demand recovery notices
+    (``last`` is the cut's :func:`_durable_writes`).
 
     Returns a missed-detection description, or None when every probe
     was detected (or no durable leaf exists to tamper with).
     """
     amap = model.amap
-    last = _durable_writes(model, state.cut)
     target = None
     for addr, event in sorted(last.items()):
         if amap.region_of(addr) is not Region.COUNTER:

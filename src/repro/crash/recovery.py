@@ -97,9 +97,10 @@ def counter_summing_reconstruction(
                 f"level-0 node {index} is {type(leaf).__name__}, "
                 "expected CounterBlock")
         addr = amap.counter_block_addr(index)
-        if not leaf.verify(mac, addr, leaf.dummy_counter(bits)):
+        dummy = leaf.dummy_counter(bits)
+        if not leaf.verify(mac, addr, dummy):
             result.leaf_hmac_failures.append(index)
-        dummies.append(leaf.dummy_counter(bits))
+        dummies.append(dummy)
 
     # -- Step 3: rebuild intermediate levels -------------------------
     rebuilt: list[list[SITNode]] = []
