@@ -973,8 +973,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report path (default BENCH_perf.json)")
     p.add_argument("--only",
                    help="comma-separated benchmark subset "
-                        "(e.g. access_loop,epoch_loop,scheme:scue,"
-                        "epoch:scue)")
+                        "(e.g. access_loop,scheme:scue)")
     p.set_defaults(func=cmd_perf_run)
     perf_sub = p.add_subparsers(dest="perf_command")
     pp = perf_sub.add_parser(

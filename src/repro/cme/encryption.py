@@ -16,9 +16,9 @@ from collections.abc import Sequence
 
 from repro.cme.counters import CounterBlock, MINORS_PER_BLOCK
 from repro.errors import ConfigError
-from repro.mem.address import AddressMap, CACHE_LINE_SIZE
+from repro.mem.address import AddressMap, CACHE_LINE_SIZE, LINE_SHIFT
 from repro.mem.nvm import NVMDevice
-from repro.util.crypto import make_otp, xor_bytes
+from repro.util.crypto import OTP_BYTES, make_otp, xor_bytes
 from repro.util.stats import StatGroup
 
 
@@ -31,6 +31,7 @@ class CMEEngine:
     def __init__(self, amap: AddressMap, key: bytes = b"repro-cme-key",
                  stats: StatGroup | None = None) -> None:
         self.amap = amap
+        self._data_capacity = amap.data_capacity
         self._key = key
         group = stats or StatGroup("cme")
         self.stats = group
@@ -44,7 +45,8 @@ class CMEEngine:
         self._pads: dict[tuple[int, int, int], bytes] = {}
 
     # ------------------------------------------------------------------
-    def _otp(self, data_line_addr: int, major: int, minor: int) -> bytes:
+    def pad(self, data_line_addr: int, major: int, minor: int) -> bytes:
+        """The one-time pad for a line under ``(major, minor)``."""
         key = (data_line_addr, major, minor)
         pad = self._pads.get(key)
         if pad is None:
@@ -58,19 +60,33 @@ class CMEEngine:
                 block: CounterBlock) -> bytes:
         """Encrypt ``plaintext`` for ``data_line_addr`` under the block's
         *current* counters (bump the counter first: pads must be fresh)."""
-        slot = self.amap.minor_slot_of_data(data_line_addr)
-        self._encrypts.add()
-        pad = self._otp(data_line_addr, block.major, block.minor_of(slot))
-        return xor_bytes(plaintext, pad)
+        self._encrypts.value += 1
+        return self._apply_pad(data_line_addr, plaintext, block)
 
     def decrypt(self, data_line_addr: int, ciphertext: bytes,
                 block: CounterBlock) -> bytes:
         """Decrypt a line previously produced by :meth:`encrypt` under the
         same counter values."""
-        slot = self.amap.minor_slot_of_data(data_line_addr)
-        self._decrypts.add()
-        pad = self._otp(data_line_addr, block.major, block.minor_of(slot))
-        return xor_bytes(ciphertext, pad)
+        self._decrypts.value += 1
+        return self._apply_pad(data_line_addr, ciphertext, block)
+
+    def _apply_pad(self, data_line_addr: int, data: bytes,
+                   block: CounterBlock) -> bytes:
+        """XOR ``data`` with the line's pad under the block's counters."""
+        if not 0 <= data_line_addr < self._data_capacity:
+            self.amap.data_line_index(data_line_addr)  # raises
+        if len(data) != OTP_BYTES:
+            raise ValueError(
+                f"length mismatch: {len(data)} vs {OTP_BYTES}")
+        major = block.major
+        minor = block.minors[(data_line_addr >> LINE_SHIFT)
+                             % MINORS_PER_BLOCK]
+        pad = self._pads.get((data_line_addr, major, minor))
+        if pad is None:
+            pad = self.pad(data_line_addr, major, minor)
+        return (int.from_bytes(data, "little")
+                ^ int.from_bytes(pad, "little")).to_bytes(OTP_BYTES,
+                                                          "little")
 
     # ------------------------------------------------------------------
     def reencrypt_block(self, nvm: NVMDevice, block: CounterBlock,
@@ -96,10 +112,10 @@ class CMEEngine:
             addr = base_line + slot * CACHE_LINE_SIZE
             ciphertext = nvm.peek_line(addr)
             plaintext = xor_bytes(
-                ciphertext, self._otp(addr, old_major, old_minors[slot]))
+                ciphertext, self.pad(addr, old_major, old_minors[slot]))
             fresh = xor_bytes(
                 plaintext,
-                self._otp(addr, block.major, block.minor_of(slot)))
+                self.pad(addr, block.major, block.minor_of(slot)))
             nvm.poke_line(addr, fresh)
             rewritten += 1
         self._reencrypted_lines.add(rewritten)

@@ -24,6 +24,8 @@ from enum import Enum
 from repro.errors import AddressError, ConfigError
 
 CACHE_LINE_SIZE = 64
+#: ``addr >> LINE_SHIFT`` is the number of the line holding ``addr``.
+LINE_SHIFT = CACHE_LINE_SIZE.bit_length() - 1
 #: Data lines covered by one CME counter block (64 minor counters).
 LINES_PER_COUNTER_BLOCK = 64
 #: Default fan-out of the SGX-style integrity tree (8 counters per node).
@@ -304,9 +306,8 @@ class AddressMap:
         """Media line addresses of :func:`branch_coords`, leaf first.
 
         Interned like the coordinate chains: persist paths that walk a
-        branch (PLP shadow writes, the epoch engine's scheme tails) hit
-        one dict probe instead of re-deriving ``tree_node_addr`` per
-        node per access.
+        branch (the eager and PLP branch walks) hit one dict probe
+        instead of re-deriving ``tree_node_addr`` per node per access.
         """
         cached = self._branch_addr_cache.get(block_index)
         if cached is not None:

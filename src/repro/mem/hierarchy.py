@@ -19,8 +19,10 @@ controller only when a dirty line is evicted from L3.  A *persist*
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from repro.mem.cache import SetAssociativeCache
+from repro.mem.address import LINE_SHIFT
+from repro.mem.cache import CacheLine, SetAssociativeCache
 from repro.obs import events as ev
 from repro.obs.recorder import NULL_RECORDER
 from repro.util.stats import StatGroup
@@ -48,8 +50,7 @@ class HierarchyConfig:
         return cls(**{k: int(v) for k, v in data.items()})
 
 
-@dataclass(slots=True)
-class HierarchyResult:
+class HierarchyResult(NamedTuple):
     """Outcome of one access against the hierarchy.
 
     ``miss_to_memory``: the access needs a line from the controller.
@@ -59,12 +60,47 @@ class HierarchyResult:
     """
 
     miss_to_memory: bool
-    writebacks: list[int]
+    writebacks: tuple[int, ...]
     hit_level: int
 
 
+#: Outcomes of the accesses that push no dirty line out of L3, by the
+#: level that held the line (0: memory); they are immutable, so every
+#: such access shares one instance.
+_HITS = {level: HierarchyResult(False, (), level) for level in (1, 2, 3)}
+_MISS = HierarchyResult(True, (), 0)
+_NO_WRITEBACKS: tuple[int, ...] = ()
+
+
+def _fill(cache: SetAssociativeCache, line_addr: int,
+          dirty: bool) -> CacheLine | None:
+    """``cache.insert(line_addr, dirty=dirty)`` for a tag-only CPU cache
+    (bounded, 64 B lines, no payload): returns the evicted victim."""
+    cache_set = cache._sets[(line_addr >> LINE_SHIFT) % cache.num_sets]
+    existing = cache_set.get(line_addr)
+    if existing is not None:
+        if dirty:
+            existing.dirty = True
+        cache_set.move_to_end(line_addr)
+        return None
+    victim = None
+    if len(cache_set) >= cache.ways:
+        _, victim = cache_set.popitem(last=False)
+        cache._evictions.value += 1
+        if victim.dirty:
+            cache._writebacks.value += 1
+    cache_set[line_addr] = CacheLine(line_addr, dirty)
+    return victim
+
+
 class CacheHierarchy:
-    """Three-level inclusive LRU cache hierarchy."""
+    """Three-level inclusive LRU cache hierarchy.
+
+    The per-access methods probe the levels' sets directly (the caches
+    are tag-only, so a probe is one dict lookup) and keep each level's
+    hit/miss/eviction counters exactly as :class:`SetAssociativeCache`'s
+    own ``lookup``/``insert`` would.
+    """
 
     def __init__(self, config: HierarchyConfig | None = None,
                  stats: StatGroup | None = None, recorder=None) -> None:
@@ -80,87 +116,134 @@ class CacheHierarchy:
         self.l3 = SetAssociativeCache(cfg.l3_size, cfg.l3_ways, name="l3",
                                       stats=group.child("l3"))
         self._levels = (self.l1, self.l2, self.l3)
+        self._numbered_levels = tuple(enumerate(self._levels, start=1))
 
     # ------------------------------------------------------------------
-    def _spill(self, victim, outer: SetAssociativeCache) -> None:
+    @staticmethod
+    def _spill(victim, outer: SetAssociativeCache) -> None:
         """Write-back spill: a dirty victim evicted from an inner level
         marks its (inclusive) copy in the next level dirty."""
-        if victim is None or not victim.dirty:
-            return
         outer_line = outer.peek(victim.addr)
         if outer_line is not None:
             outer_line.dirty = True
 
-    def _install(self, line_addr: int, dirty: bool) -> list[int]:
-        """Install a line in all levels (inclusive fill); collect dirty
-        lines that fall out of L3."""
-        writebacks: list[int] = []
+    def _install(self, line_addr: int, dirty: bool) -> tuple[int, ...]:
+        """Install a line in all levels (inclusive fill); return the dirty
+        line that falls out of L3, if any.
+
+        This is the miss path of every access, so each level's
+        ``SetAssociativeCache.insert`` is unrolled here: the line is
+        absent from L1, but may sit in L2/L3."""
+        l1, l2, l3 = self._levels
         # Fill outer-in so inner victims can spill into a present copy.
-        victim = self.l3.insert(line_addr, dirty=False)
-        victim2 = self.l2.insert(line_addr, dirty=False)
-        victim1 = self.l1.insert(line_addr, dirty=dirty)
-        self._spill(victim1, self.l2)
-        self._spill(victim2, self.l3)
-        if victim is not None:
-            # Inclusive hierarchy: L3 eviction invalidates inner copies,
-            # inheriting their dirtiness.
-            dirty_out = victim.dirty
-            for inner in (self.l1, self.l2):
-                dropped = inner.invalidate(victim.addr)
-                if dropped is not None and dropped.dirty:
-                    dirty_out = True
-            if dirty_out:
-                writebacks.append(victim.addr)
-                if self.obs.enabled:
-                    self.obs.instant(ev.EV_LLC_WRITEBACK, ev.TRACK_CPU,
-                                     addr=victim.addr)
-        return writebacks
+        victim = _fill(l3, line_addr, False)
+        victim2 = _fill(l2, line_addr, False)
+        victim1 = _fill(l1, line_addr, dirty)
+        if victim1 is not None and victim1.dirty:
+            self._spill(victim1, l2)
+        if victim2 is not None and victim2.dirty:
+            self._spill(victim2, l3)
+        if victim is None:
+            return _NO_WRITEBACKS
+        # Inclusive hierarchy: L3 eviction invalidates inner copies,
+        # inheriting their dirtiness.
+        addr = victim.addr
+        dirty_out = victim.dirty
+        for inner in (l1, l2):
+            inner_set = inner._sets[(addr >> LINE_SHIFT) % inner.num_sets]
+            dropped = inner_set.pop(addr, None)
+            if dropped is not None and dropped.dirty:
+                dirty_out = True
+        if not dirty_out:
+            return _NO_WRITEBACKS
+        if self.obs.enabled:
+            self.obs.instant(ev.EV_LLC_WRITEBACK, ev.TRACK_CPU, addr=addr)
+        return (addr,)
 
     def load(self, line_addr: int) -> HierarchyResult:
         """A load instruction touching ``line_addr``."""
-        for level, cache in enumerate(self._levels, start=1):
-            if cache.lookup(line_addr) is not None:
-                if level > 1:
-                    # Promote into inner levels (no memory traffic).
-                    if level > 2:
-                        self._spill(self.l2.insert(line_addr), self.l3)
-                    self._spill(self.l1.insert(line_addr), self.l2)
-                return HierarchyResult(False, [], level)
-        writebacks = self._install(line_addr, dirty=False)
+        l1, l2, l3 = self._levels
+        cache_set = l1._sets[(line_addr >> LINE_SHIFT) % l1.num_sets]
+        if line_addr in cache_set:
+            cache_set.move_to_end(line_addr)
+            l1._hits.value += 1
+            return _HITS[1]
+        l1._misses.value += 1
+        # Promote into inner levels (no memory traffic).
+        cache_set = l2._sets[(line_addr >> LINE_SHIFT) % l2.num_sets]
+        if line_addr in cache_set:
+            cache_set.move_to_end(line_addr)
+            l2._hits.value += 1
+            victim = _fill(l1, line_addr, False)
+            if victim is not None and victim.dirty:
+                self._spill(victim, l2)
+            return _HITS[2]
+        l2._misses.value += 1
+        cache_set = l3._sets[(line_addr >> LINE_SHIFT) % l3.num_sets]
+        if line_addr in cache_set:
+            cache_set.move_to_end(line_addr)
+            l3._hits.value += 1
+            victim = _fill(l2, line_addr, False)
+            if victim is not None and victim.dirty:
+                self._spill(victim, l3)
+            victim = _fill(l1, line_addr, False)
+            if victim is not None and victim.dirty:
+                self._spill(victim, l2)
+            return _HITS[3]
+        l3._misses.value += 1
+        writebacks = self._install(line_addr, False)
+        if not writebacks:
+            return _MISS
         return HierarchyResult(True, writebacks, 0)
 
     def store(self, line_addr: int) -> HierarchyResult:
         """A plain store: write-allocate, dirty in L1, surfaces at memory
         only via later eviction."""
-        line = self.l1.lookup(line_addr)
+        l1, l2, l3 = self._levels
+        cache_set = l1._sets[(line_addr >> LINE_SHIFT) % l1.num_sets]
+        line = cache_set.get(line_addr)
         if line is not None:
+            cache_set.move_to_end(line_addr)
+            l1._hits.value += 1
             line.dirty = True
-            return HierarchyResult(False, [], 1)
-        hit_level = 0
-        for level, cache in ((2, self.l2), (3, self.l3)):
-            if cache.lookup(line_addr) is not None:
-                hit_level = level
-                break
-        miss = hit_level == 0
-        writebacks = self._install(line_addr, dirty=True)
-        return HierarchyResult(miss, writebacks, hit_level)
+            return _HITS[1]
+        l1._misses.value += 1
+        if l2.lookup(line_addr) is not None:
+            hit_level = 2
+        elif l3.lookup(line_addr) is not None:
+            hit_level = 3
+        else:
+            hit_level = 0
+        writebacks = self._install(line_addr, True)
+        if not writebacks:
+            return _HITS[hit_level] if hit_level else _MISS
+        return HierarchyResult(hit_level == 0, writebacks, hit_level)
 
     def persist(self, line_addr: int) -> HierarchyResult:
         """A store + clwb + sfence: the line goes to the controller *now*
         and stays resident but clean."""
         hit_level = 0
-        for level, cache in enumerate(self._levels, start=1):
-            line = cache.lookup(line_addr)
-            if line is not None:
-                line.dirty = False
-                if hit_level == 0:
-                    hit_level = level
-        writebacks: list[int] = []
-        if hit_level == 0:
-            writebacks = self._install(line_addr, dirty=False)
+        # Every level is probed (and counted); each resident copy is
+        # cleaned.
+        for level, cache in self._numbered_levels:
+            cache_set = cache._sets[(line_addr >> LINE_SHIFT) % cache.num_sets]
+            line = cache_set.get(line_addr)
+            if line is None:
+                cache._misses.value += 1
+                continue
+            cache_set.move_to_end(line_addr)
+            cache._hits.value += 1
+            line.dirty = False
+            if hit_level == 0:
+                hit_level = level
+        if hit_level:
+            return _HITS[hit_level]
         # Persists always reach memory; miss_to_memory reports whether the
         # *allocation* needed a fill (write-allocate on miss).
-        return HierarchyResult(hit_level == 0, writebacks, hit_level)
+        writebacks = self._install(line_addr, False)
+        if not writebacks:
+            return _MISS
+        return HierarchyResult(True, writebacks, 0)
 
     def drop_all(self) -> list[int]:
         """Crash: drop every level, returning dirty line addresses (what an

@@ -22,6 +22,9 @@ from repro.util.stats import StatGroup
 ZERO_LINE = bytes(CACHE_LINE_SIZE)
 #: Lines per PCM row buffer (a 4 KB row).
 LINES_PER_ROW = 64
+#: ``line_addr >> _ROW_SHIFT`` is the line's row id.
+_ROW_SHIFT = (CACHE_LINE_SIZE * LINES_PER_ROW).bit_length() - 1
+_LINE_OFFSET = CACHE_LINE_SIZE - 1
 
 
 class NVMDevice:
@@ -48,7 +51,12 @@ class NVMDevice:
         self.wear: "WearTracker | None" = \
             WearTracker("nvm") if track_wear else None
         self._lines: dict[int, bytes] = {}
-        self._open_rows: dict[int, int] = {}  # bank -> open row id
+        # Timing constants of the per-access path, derived once.
+        self._banks = self.timing.banks
+        #: Open row id per bank (-1: no row open yet).
+        self._open_rows = [-1] * self._banks
+        self._row_hit_read_cycles = self.timing.row_hit_read_cycles
+        self._read_cycles = self.timing.read_cycles
         self.obs = recorder if recorder is not None else NULL_RECORDER
         self.stats = stats or StatGroup("nvm")
         self._reads = self.stats.counter("reads")
@@ -68,26 +76,48 @@ class NVMDevice:
 
     def read_line(self, line_addr: int) -> bytes:
         """Read one 64 B line (functional; counts an array read)."""
-        self._check(line_addr)
+        return self.timed_read(line_addr)[1]
+
+    def timed_read(self, line_addr: int) -> tuple[int, bytes]:
+        """Read one 64 B line and return ``(latency, data)``: the
+        :meth:`read_latency` the access sees, then the counted
+        :meth:`read_line`, with one row-buffer lookup for both."""
+        if line_addr & _LINE_OFFSET or not 0 <= line_addr < self.capacity:
+            self._check(line_addr)
         self._reads.value += 1
-        hit = self._touch_row(line_addr)
+        row = line_addr >> _ROW_SHIFT
+        bank = row % self._banks
+        hit = self._open_rows[bank] == row
+        if hit:
+            self._row_hits.value += 1
+            latency = self._row_hit_read_cycles
+        else:
+            self._open_rows[bank] = row
+            self._row_misses.value += 1
+            latency = self._read_cycles
         if self.obs.enabled:
-            bank, _ = self._row_of(line_addr)
             self.obs.instant(ev.EV_NVM_READ, ev.TRACK_NVM,
                              addr=line_addr, bank=bank, row_hit=hit)
-        return self._lines.get(line_addr, ZERO_LINE)
+        return latency, self._lines.get(line_addr, ZERO_LINE)
 
     def write_line(self, line_addr: int, data: bytes) -> None:
         """Persist one 64 B line."""
-        self._check(line_addr)
+        if line_addr & _LINE_OFFSET or not 0 <= line_addr < self.capacity:
+            self._check(line_addr)
         if len(data) != CACHE_LINE_SIZE:
             raise AddressError(
                 f"line writes must be {CACHE_LINE_SIZE} bytes, "
                 f"got {len(data)}")
         self._writes.value += 1
-        hit = self._touch_row(line_addr)
+        row = line_addr >> _ROW_SHIFT
+        bank = row % self._banks
+        hit = self._open_rows[bank] == row
+        if hit:
+            self._row_hits.value += 1
+        else:
+            self._open_rows[bank] = row
+            self._row_misses.value += 1
         if self.obs.enabled:
-            bank, _ = self._row_of(line_addr)
             self.obs.instant(ev.EV_NVM_WRITE, ev.TRACK_NVM,
                              addr=line_addr, bank=bank, row_hit=hit)
         if self.wear is not None:
@@ -116,29 +146,13 @@ class NVMDevice:
     # ------------------------------------------------------------------
     # Timing
     # ------------------------------------------------------------------
-    def _row_of(self, line_addr: int) -> tuple[int, int]:
-        row = line_addr // (CACHE_LINE_SIZE * LINES_PER_ROW)
-        bank = row % self.timing.banks
-        return bank, row
-
-    def _touch_row(self, line_addr: int) -> bool:
-        """Update the open-row state; returns True on a row-buffer hit."""
-        bank, row = self._row_of(line_addr)
-        hit = self._open_rows.get(bank) == row
-        self._open_rows[bank] = row
-        if hit:
-            self._row_hits.value += 1
-        else:
-            self._row_misses.value += 1
-        return hit
-
     def read_latency(self, line_addr: int) -> int:
         """Cycles for a read issued now (consults the open-row state
         without modifying it — call before :meth:`read_line`)."""
-        bank, row = self._row_of(line_addr)
-        if self._open_rows.get(bank) == row:
-            return self.timing.row_hit_read_cycles
-        return self.timing.read_cycles
+        row = line_addr >> _ROW_SHIFT
+        if self._open_rows[row % self._banks] == row:
+            return self._row_hit_read_cycles
+        return self._read_cycles
 
     @property
     def write_drain_cycles(self) -> int:

@@ -55,8 +55,10 @@ class WritePendingQueue:
         self.data_capacity = data_entries
         self.metadata_capacity = metadata_entries
         self.drain_cycles = drain_cycles
-        self._data: deque[WPQEntry] = deque()
-        self._metadata: deque[WPQEntry] = deque()
+        # Each partition queues ``(line_addr, enqueued_at)`` pairs;
+        # :meth:`flush` hands them out as :class:`WPQEntry` records.
+        self._data: deque[tuple[int, int]] = deque()
+        self._metadata: deque[tuple[int, int]] = deque()
         self._next_drain_at = 0
         self._now = 0
         self.obs = recorder if recorder is not None else NULL_RECORDER
@@ -83,25 +85,32 @@ class WritePendingQueue:
         if cycle < self._now:
             return
         self._now = cycle
-        while (self._data or self._metadata) \
-                and self._next_drain_at <= self._now:
-            self._pop_one()
-            self._next_drain_at += self.drain_cycles
-        if not self._data and not self._metadata:
-            # Idle queue: next drain can start as soon as work arrives.
-            self._next_drain_at = max(self._next_drain_at, self._now)
+        if self._next_drain_at <= cycle:
+            self._drain_due(cycle)
 
-    def _pop_one(self) -> WPQEntry:
-        entry = (self._metadata.popleft() if self._metadata
-                 else self._data.popleft())
-        self._drained.add()
-        if self.obs.enabled:
-            self.obs.instant(ev.EV_WPQ_DRAIN, ev.TRACK_WPQ,
-                             ts=max(self._next_drain_at, entry.enqueued_at),
-                             addr=entry.line_addr,
-                             metadata=entry.is_metadata,
-                             queued_cycles=self._now - entry.enqueued_at)
-        return entry
+    def _drain_due(self, cycle: int) -> None:
+        """Drain every entry whose slot on the drain port has come by
+        ``cycle`` (the caller has set ``_now`` to it)."""
+        data, metadata = self._data, self._metadata
+        obs = self.obs if self.obs.enabled else None
+        next_drain = self._next_drain_at
+        drained = 0
+        while next_drain <= cycle:
+            queue = metadata or data
+            if not queue:
+                # Idle queue: next drain can start as soon as work arrives.
+                next_drain = cycle
+                break
+            line_addr, enqueued_at = queue.popleft()
+            drained += 1
+            if obs is not None:
+                obs.instant(ev.EV_WPQ_DRAIN, ev.TRACK_WPQ,
+                            ts=max(next_drain, enqueued_at),
+                            addr=line_addr, metadata=queue is metadata,
+                            queued_cycles=cycle - enqueued_at)
+            next_drain += self.drain_cycles
+        self._next_drain_at = next_drain
+        self._drained.value += drained
 
     def enqueue(self, line_addr: int, cycle: int,
                 metadata: bool = False) -> int:
@@ -110,28 +119,35 @@ class WritePendingQueue:
         If the relevant partition is full, time advances (draining) until a
         slot frees up, and the wait is returned as the stall.
         """
-        self.advance_to(cycle)
-        queue = self._metadata if metadata else self._data
-        capacity = self.metadata_capacity if metadata else self.data_capacity
+        now = self._now
+        if cycle >= now:
+            self._now = now = cycle
+            if self._next_drain_at <= cycle:
+                self._drain_due(cycle)
+        if metadata:
+            queue = self._metadata
+            capacity = self.metadata_capacity
+            accepted = self._meta_enqueued
+        else:
+            queue = self._data
+            capacity = self.data_capacity
+            accepted = self._enqueued
         stall = 0
         if len(queue) >= capacity:
-            self._full_events.add()
+            self._full_events.value += 1
             # Wait for enough drains to free a slot in this partition.
             while len(queue) >= capacity:
-                wait_until = max(self._next_drain_at, self._now + 1)
-                stall += wait_until - self._now
-                self.advance_to(wait_until)
+                wait_until = max(self._next_drain_at, now + 1)
+                stall += wait_until - now
+                self._now = now = wait_until
+                self._drain_due(wait_until)
+            self._stall.value += stall
         if not self._data and not self._metadata:
             # Queue going busy: the first drain completes one service
             # time from now, not instantaneously.
-            self._next_drain_at = self._now + self.drain_cycles
-        queue.append(WPQEntry(line_addr, self._now, metadata))
-        if metadata:
-            self._meta_enqueued.add()
-        else:
-            self._enqueued.add()
-        if stall:
-            self._stall.add(stall)
+            self._next_drain_at = now + self.drain_cycles
+        queue.append((line_addr, now))
+        accepted.value += 1
         if self.obs.enabled:
             self.obs.instant(ev.EV_WPQ_ENQUEUE, ev.TRACK_WPQ, ts=cycle,
                              addr=line_addr, metadata=metadata,
@@ -145,11 +161,12 @@ class WritePendingQueue:
     def flush(self) -> list[WPQEntry]:
         """Drain everything immediately (ADR flush-on-crash; also used at
         clean shutdown).  Returns the flushed entries in drain order."""
-        flushed: list[WPQEntry] = []
-        while self._metadata:
-            flushed.append(self._metadata.popleft())
-        while self._data:
-            flushed.append(self._data.popleft())
+        flushed = [WPQEntry(line_addr, enqueued_at, True)
+                   for line_addr, enqueued_at in self._metadata]
+        flushed.extend(WPQEntry(line_addr, enqueued_at, False)
+                       for line_addr, enqueued_at in self._data)
+        self._metadata.clear()
+        self._data.clear()
         return flushed
 
     def __len__(self) -> int:

@@ -2,11 +2,12 @@
 
 Bare means hide exactly what the paper's figures argue about: tail write
 latency.  :class:`LatencyHistogram` buckets samples by power of two —
-bucket 0 holds value 0, bucket *b* holds ``[2**(b-1), 2**b - 1]`` — so
-``add`` is a ``bit_length`` plus one list increment, cheap enough for the
-per-access hot path.  Percentiles are estimated as the upper bound of
-the bucket containing the target rank, clamped to the observed maximum
-(so ``p100 == max`` exactly and estimates never exceed a real sample).
+bucket 0 holds value 0, bucket *b* holds ``[2**(b-1), 2**b - 1]``;
+``add`` is one dict update, cheap enough for the per-access hot path
+(see :class:`LatencyHistogram`).  Percentiles are estimated as the upper
+bound of the bucket containing the target rank, clamped to the observed
+maximum (so ``p100 == max`` exactly and estimates never exceed a real
+sample).
 
 Histograms merge bucket-wise, which is how campaign aggregation combines
 per-cell histograms without re-running anything.
@@ -18,33 +19,90 @@ from typing import Any
 
 #: Enough buckets for latencies up to 2**62 cycles; saturating on top.
 _BUCKETS = 64
+#: Distinct unfolded sample values kept before they are folded into the
+#: buckets (bounds the memory of a long run with spread-out latencies).
+_SAMPLE_LIMIT = 4096
 
 
 class LatencyHistogram:
-    """Power-of-two-bucket histogram of non-negative integer samples."""
+    """Power-of-two-bucket histogram of non-negative integer samples.
 
-    __slots__ = ("name", "counts", "count", "total", "minimum", "maximum")
+    :meth:`add` is on the simulator's per-access path, and latencies take
+    few distinct values, so it only tallies ``value -> weight``; the
+    bucket, count, total and extremes arithmetic runs once per distinct
+    value when a reader needs it (every sum and extreme is order-free, so
+    the folded state equals sample-by-sample accounting).
+    """
+
+    __slots__ = ("name", "_counts", "_count", "_total", "_minimum",
+                 "_maximum", "_samples")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self.counts = [0] * _BUCKETS
-        self.count = 0
-        self.total = 0
-        self.minimum: int | None = None
-        self.maximum: int | None = None
+        self._counts = [0] * _BUCKETS
+        self._count = 0
+        self._total = 0
+        self._minimum: int | None = None
+        self._maximum: int | None = None
+        self._samples: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     def add(self, value: int, weight: int = 1) -> None:
-        idx = value.bit_length() if value > 0 else 0
-        if idx >= _BUCKETS:
-            idx = _BUCKETS - 1
-        self.counts[idx] += weight
-        self.count += weight
-        self.total += value * weight
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
+        samples = self._samples
+        tally = samples.get(value)
+        if tally is not None:
+            samples[value] = tally + weight
+            return
+        if len(samples) >= _SAMPLE_LIMIT:
+            self._fold()
+        samples[value] = weight
+
+    def _fold(self) -> None:
+        """Move the tallied samples into the buckets and aggregates."""
+        samples = self._samples
+        if not samples:
+            return
+        counts = self._counts
+        for value, weight in samples.items():
+            idx = value.bit_length() if value > 0 else 0
+            if idx >= _BUCKETS:
+                idx = _BUCKETS - 1
+            counts[idx] += weight
+            self._count += weight
+            self._total += value * weight
+        low = min(samples)
+        high = max(samples)
+        if self._minimum is None or low < self._minimum:
+            self._minimum = low
+        if self._maximum is None or high > self._maximum:
+            self._maximum = high
+        samples.clear()
+
+    @property
+    def counts(self) -> list[int]:
+        """Samples per bucket."""
+        self._fold()
+        return self._counts
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def total(self) -> int:
+        self._fold()
+        return self._total
+
+    @property
+    def minimum(self) -> int | None:
+        self._fold()
+        return self._minimum
+
+    @property
+    def maximum(self) -> int | None:
+        self._fold()
+        return self._maximum
 
     @staticmethod
     def bucket_bounds(index: int) -> tuple[int, int]:
@@ -99,23 +157,25 @@ class LatencyHistogram:
         Merging an empty histogram — either side — is a no-op on the
         populated one, including when the empty side came from a
         snapshot with no min/max."""
+        self._fold()
         for idx, bucket_count in enumerate(other.counts):
-            self.counts[idx] += bucket_count
-        self.count += other.count
-        self.total += other.total
-        if other.minimum is not None and (self.minimum is None
-                                          or other.minimum < self.minimum):
-            self.minimum = other.minimum
-        if other.maximum is not None and (self.maximum is None
-                                          or other.maximum > self.maximum):
-            self.maximum = other.maximum
+            self._counts[idx] += bucket_count
+        self._count += other.count
+        self._total += other.total
+        if other.minimum is not None and (self._minimum is None
+                                          or other.minimum < self._minimum):
+            self._minimum = other.minimum
+        if other.maximum is not None and (self._maximum is None
+                                          or other.maximum > self._maximum):
+            self._maximum = other.maximum
 
     def reset(self) -> None:
-        self.counts = [0] * _BUCKETS
-        self.count = 0
-        self.total = 0
-        self.minimum = None
-        self.maximum = None
+        self._counts = [0] * _BUCKETS
+        self._count = 0
+        self._total = 0
+        self._minimum = None
+        self._maximum = None
+        self._samples.clear()
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict[str, Any]:
@@ -141,13 +201,13 @@ class LatencyHistogram:
                   name: str = "") -> "LatencyHistogram":
         hist = cls(name)
         buckets = data.get("buckets", [])
-        hist.counts[:len(buckets)] = buckets
+        hist._counts[:len(buckets)] = buckets
         # Truncated snapshots (no "count") infer it from the buckets so
         # percentile/mean stay consistent with the data present.
-        hist.count = data.get("count", sum(buckets))
-        hist.total = data.get("total", 0)
-        hist.minimum = data.get("min")
-        hist.maximum = data.get("max")
+        hist._count = data.get("count", sum(buckets))
+        hist._total = data.get("total", 0)
+        hist._minimum = data.get("min")
+        hist._maximum = data.get("max")
         return hist
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

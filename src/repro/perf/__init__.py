@@ -14,10 +14,7 @@ optimizations can be proven and regressions caught:
   ``BENCH_perf.json`` schema;
 * :func:`compare_reports` — gate a fresh run against a committed
   baseline (fail on >10% throughput regression; a result-digest
-  mismatch always fails, advisory mode or not) and diff the
-  candidate's scalar/epoch benchmark pairs (an epoch row must
-  digest-match its scalar twin — the byte-identical oracle applied
-  across engines).
+  mismatch always fails, advisory mode or not).
 
 ``repro-sim perf`` / ``repro-sim perf compare`` are the CLI front ends
 (docs/performance.md).
@@ -25,7 +22,6 @@ optimizations can be proven and regressions caught:
 
 from repro.perf.harness import (
     BENCH_NAMES,
-    ENGINE_PAIRS,
     SCHEMA_VERSION,
     BenchResult,
     compare_reports,
@@ -37,7 +33,6 @@ from repro.perf.harness import (
 
 __all__ = [
     "BENCH_NAMES",
-    "ENGINE_PAIRS",
     "SCHEMA_VERSION",
     "BenchResult",
     "compare_reports",

@@ -18,22 +18,11 @@ run, so each benchmark reports two independent things:
 
 The benchmark set:
 
-* ``access_loop`` — the default (``engine="auto"``) access loop: one
-  SCUE system at fig10-quick scale driven by a pregenerated trace —
-  the epoch-batched engine where eligible, i.e. what a user actually
-  gets.  This is the number the ROADMAP's "runs as fast as the
-  hardware allows" goal is tracked by.
-* ``epoch_loop`` — the same system with ``engine="epoch"`` *forced*
-  (a fallback raises instead of silently measuring the scalar loop).
-  Its digest must equal ``access_loop``'s; :func:`compare_reports`
-  checks that pairing on every run.
-* ``scheme:<name>`` — the scalar reference loop for every registered
-  scheme, so a regression in one scheme's policy hook is attributed
-  to that scheme.
-* ``epoch:<name>`` — the batched twin of each ``scheme:<name>`` row
-  (``engine="epoch"`` forced).  Each pair must digest-match; the
-  per-scheme split attributes a batched-path regression to the scheme
-  tail that caused it.
+* ``access_loop`` — the access loop: one SCUE system at fig10-quick
+  scale driven by a pregenerated trace.  This is the number the
+  ROADMAP's "runs as fast as the hardware allows" goal is tracked by.
+* ``scheme:<name>`` — the same loop for every registered scheme, so a
+  regression in one scheme's policy hook is attributed to that scheme.
 * ``fig10_quick`` — end-to-end figure 10 at quick scale on a fixed
   workload subset: trace generation + campaign plumbing + the matrix of
   runs + ratio aggregation, i.e. what a user actually waits for.
@@ -50,7 +39,6 @@ import hashlib
 import json
 import platform
 import statistics
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,7 +48,6 @@ from repro.bench.export import to_jsonable
 from repro.bench.figures import fig10_execution_time
 from repro.bench.harness import BenchScale
 from repro.errors import ConfigError
-from repro.secure import vector
 from repro.sim.system import System
 from repro.util.atomic import atomic_write_text
 from repro.workloads import make_workload
@@ -70,16 +57,6 @@ SCHEMA_VERSION = 1
 #: Schemes measured individually (every registered scheme, so policy-hook
 #: regressions are attributed to the scheme that caused them).
 PERF_SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue")
-
-#: Scalar/epoch benchmark pairs: the epoch twin must reproduce the
-#: scalar twin's result digest exactly.  :func:`compare_reports` checks
-#: every pair present in the candidate report and fails on divergence —
-#: the same "byte-identical results" contract the baseline digests
-#: enforce, applied across engines instead of across commits.
-ENGINE_PAIRS: tuple[tuple[str, str], ...] = (
-    ("access_loop", "epoch_loop"),
-) + tuple((f"scheme:{scheme}", f"epoch:{scheme}")
-          for scheme in PERF_SCHEMES)
 
 #: Fixed workload subset for the end-to-end figure benchmark — small
 #: enough to keep the harness interactive, mixed enough (dense array
@@ -130,22 +107,21 @@ def result_digest(value: Any) -> str:
 # ----------------------------------------------------------------------
 # Benchmark bodies.  Each returns ``(accesses, digestable_result)``.
 # ----------------------------------------------------------------------
-def _run_scheme_once(scheme: str, scale: BenchScale, trace: list,
-                     engine: str = "auto") -> tuple[int, Any]:
-    system = System(scale.config(scheme), engine=engine)
+def _run_scheme_once(scheme: str, scale: BenchScale,
+                     trace: list) -> tuple[int, Any]:
+    system = System(scale.config(scheme))
     system.run(iter(trace))
     return len(trace), system.result("perf")
 
 
-def _scheme_bench(scheme: str,
-                  engine: str = "auto") -> Callable[[], tuple[int, Any]]:
+def _scheme_bench(scheme: str) -> Callable[[], tuple[int, Any]]:
     scale = BenchScale.quick()
     workload = make_workload("array", scale.data_capacity,
                              scale.operations, seed=42)
     trace = list(workload.trace())
 
     def run() -> tuple[int, Any]:
-        return _run_scheme_once(scheme, scale, trace, engine)
+        return _run_scheme_once(scheme, scale, trace)
 
     return run
 
@@ -226,19 +202,8 @@ def _benchmarks(names: tuple[str, ...] | None = None
     table: list[tuple[str, str, Callable[[], tuple[int, Any]]]] = [
         ("access_loop", "access_loop", _scheme_bench("scue")),
     ]
-    # The forced-epoch rows raise on ineligibility instead of silently
-    # measuring the scalar loop, so scalar-only environments (no numpy)
-    # simply don't offer them.
-    if vector.HAVE_NUMPY:
-        table.append(("epoch_loop", "access_loop",
-                      _scheme_bench("scue", engine="epoch")))
     for scheme in PERF_SCHEMES:
-        table.append((f"scheme:{scheme}", "scheme",
-                      _scheme_bench(scheme, engine="scalar")))
-    if vector.HAVE_NUMPY:
-        for scheme in PERF_SCHEMES:
-            table.append((f"epoch:{scheme}", "scheme",
-                          _scheme_bench(scheme, engine="epoch")))
+        table.append((f"scheme:{scheme}", "scheme", _scheme_bench(scheme)))
     table.append(("fig10_quick", "fig10_quick", _fig10_bench()))
     table.append(("serve_cache_hit", "serve_cache_hit",
                   _serve_cache_hit_bench()))
@@ -349,13 +314,6 @@ def compare_reports(baseline: dict[str, Any], candidate: dict[str, Any],
     than ``threshold`` fails (or warns under ``advisory`` — CI boxes are
     noisy); a **result-digest mismatch always fails**, advisory or not,
     because it means the optimization changed simulation behaviour.
-
-    The candidate's scalar/epoch benchmark pairs (:data:`ENGINE_PAIRS`)
-    are also diffed against *each other*: an epoch row whose digest
-    diverges from its scalar twin always fails (the batched engine no
-    longer reproduces the reference result), and an epoch row more than
-    ``threshold`` slower than its scalar twin fails like any other
-    regression — the batched path exists to be faster.
     """
     lines: list[str] = []
     failed = False
@@ -388,28 +346,4 @@ def compare_reports(baseline: dict[str, Any], candidate: dict[str, Any],
     extra = sorted(set(cand_benches) - set(base_benches))
     for name in extra:
         lines.append(f"NEW       {name}: no baseline entry (ignored)")
-    for scalar_name, epoch_name in ENGINE_PAIRS:
-        scalar = cand_benches.get(scalar_name)
-        epoch = cand_benches.get(epoch_name)
-        if scalar is None or epoch is None:
-            continue
-        if scalar["digest"] != epoch["digest"]:
-            lines.append(
-                f"ENGINE    {epoch_name}: digest diverges from "
-                f"{scalar_name} ({scalar['digest'][:12]} -> "
-                f"{epoch['digest'][:12]}) — the batched engine no "
-                "longer reproduces the scalar result")
-            failed = True
-            continue
-        scalar_rate = scalar["accesses_per_sec"]
-        epoch_rate = epoch["accesses_per_sec"]
-        ratio = epoch_rate / scalar_rate if scalar_rate else 0.0
-        status = "PAIR"
-        if ratio < 1.0 - threshold:
-            status = "ADVISORY" if advisory else "REGRESSED"
-            if not advisory:
-                failed = True
-        lines.append(
-            f"{status:<9s} {epoch_name}: {epoch_rate:,.0f} acc/s vs "
-            f"{scalar_rate:,.0f} scalar twin ({ratio:.2f}x)")
     return (1 if failed else 0), lines

@@ -29,7 +29,7 @@ from __future__ import annotations
 import hashlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.cme.counters import CounterBlock, MINOR_LIMIT, MINORS_PER_BLOCK
 from repro.cme.encryption import CMEEngine
@@ -38,7 +38,7 @@ from repro.errors import (
     MetadataTypeError,
     SimulationError,
 )
-from repro.mem.address import AddressMap, CACHE_LINE_SIZE
+from repro.mem.address import AddressMap, CACHE_LINE_SIZE, LINE_SHIFT
 from repro.mem.cache import SetAssociativeCache
 from repro.mem.nvm import NVMDevice
 from repro.mem.wpq import WritePendingQueue
@@ -54,6 +54,11 @@ if TYPE_CHECKING:  # avoid the secure <-> sim layering cycle at runtime
     from repro.sim.config import SystemConfig
 
 ZERO_LINE = bytes(CACHE_LINE_SIZE)
+#: ``addr & _LINE_MASK`` line-aligns a byte address.
+_LINE_MASK = -CACHE_LINE_SIZE
+#: ``line >> _LEAF_SHIFT`` is the index of the counter block covering a
+#: data line.
+_LEAF_SHIFT = (CACHE_LINE_SIZE * MINORS_PER_BLOCK).bit_length() - 1
 #: Cycles to generate a dummy counter / bump an on-chip register — simple
 #: adder work, essentially free next to a hash.
 REGISTER_UPDATE_CYCLES = 2
@@ -74,8 +79,7 @@ def expect_node(node: "TreeNode", cls: type, context: str):
     return node
 
 
-@dataclass(frozen=True, slots=True)
-class ReadOutcome:
+class ReadOutcome(NamedTuple):
     """Result of a data read at the controller.
 
     ``array_latency``/``flush_cycles`` break the latency down for cycle
@@ -89,8 +93,7 @@ class ReadOutcome:
     flush_cycles: int = 0
 
 
-@dataclass(frozen=True, slots=True)
-class WriteOutcome:
+class WriteOutcome(NamedTuple):
     """Result of a data write at the controller.
 
     ``latency`` is the full write latency recorded for Fig 9;
@@ -202,6 +205,29 @@ class SecureMemoryController(ABC):
         self._read_latency = self.stats.histogram("read_latency")
         self._verify_latency = self.stats.histogram("verify_latency")
         self._crashes = self.stats.counter("crashes")
+        #: Fast-recovery tracker (STAR/AGIT/ASIT) fed by the node
+        #: notification hooks; ``None`` for every scheme but a configured
+        #: SCUE, and the per-access paths skip the hooks only then.
+        self.tracker = None
+        # Per-access constants, derived once.  The metadata cache's sets
+        # and hit counter are bound so the hot paths below can probe a
+        # resident node the way ``meta_cache.lookup`` would (same LRU
+        # touch, same count) without a call chain per probe.
+        amap = self.amap
+        self._data_capacity = amap.data_capacity
+        self._counter_base = amap.counter_base
+        self._arity = amap.arity
+        self._tree_levels = amap.tree_levels
+        #: Media address of node ``(level, 0)``; ``(level, i)`` lives
+        #: ``i`` lines further.
+        self._level_base = tuple(amap.tree_node_addr(level, 0)
+                                 for level in range(amap.tree_levels))
+        self._mc_sets = self.meta_cache._sets
+        self._mc_nsets = self.meta_cache.num_sets
+        self._mc_hits = self.meta_cache._hits
+        self._mc_misses = self.meta_cache._misses
+        self._counter_mask = (1 << amap.counter_bits) - 1
+        self._write_service_cycles = self.timing.write_service_cycles
 
     # ==================================================================
     # Policy hooks
@@ -231,14 +257,20 @@ class SecureMemoryController(ABC):
     def _on_node_dirtied(self, level: int, index: int) -> None:
         """Notification that a cached metadata node became dirty (fast-
         recovery trackers hook this)."""
+        if self.tracker is not None:
+            self.tracker.on_dirty(level, index)
 
     def _on_node_updated(self, level: int, index: int) -> None:
         """Notification fired on *every* cached-metadata update, including
         updates to already-dirty nodes (content-journalling trackers like
         ASIT pay per update, not per transition)."""
+        if self.tracker is not None:
+            self.tracker.on_update(level, index)
 
     def _on_node_cleaned(self, level: int, index: int) -> None:
         """Notification that a node's NVM copy was brought up to date."""
+        if self.tracker is not None:
+            self.tracker.on_clean(level, index)
 
     # ==================================================================
     # Metadata fetch-and-verify
@@ -252,11 +284,12 @@ class SecureMemoryController(ABC):
         """Trusted parent counter for node ``(level, index)``, fetching
         (and verifying) ancestors as needed.  Returns
         ``(counter, read_latency, nodes_fetched)``."""
-        if level + 1 >= self.amap.tree_levels:
+        if level + 1 >= self._tree_levels:
             return self._root_counter(index), 0, 0
-        plevel, pindex = self.amap.parent_coords(level, index)
-        parent, latency, fetched = self._fetch_chain(plevel, pindex)
-        return parent.counter(self.amap.parent_slot(index)), latency, fetched
+        plevel, pindex = level + 1, index // self._arity
+        parent, latency, fetched = self._fetch_line(
+            plevel, pindex, self._level_base[plevel] + (pindex << LINE_SHIFT))
+        return parent.counters[index % self._arity], latency, fetched
 
     def _fetch_chain(self, level: int, index: int) -> tuple[TreeNode, int, int]:
         """Fetch node ``(level, index)`` through the metadata cache,
@@ -267,10 +300,28 @@ class SecureMemoryController(ABC):
         pointer chasing), so the reads issue in parallel across banks: the
         chain's read latency is the *max* of the individual reads, not the
         sum — the memory-level parallelism SIT verification enjoys."""
-        line = self.store.node_addr(level, index)
-        hit = self.meta_cache.lookup(line)
-        if hit is not None:
-            return hit.payload, 0, 0
+        return self._fetch_line(level, index,
+                                self.store.node_addr(level, index))
+
+    def _fetch_line(self, level: int, index: int,
+                    line: int) -> tuple[TreeNode, int, int]:
+        """:meth:`_fetch_chain` for a caller that knows the node's media
+        ``line``: one counted metadata-cache probe, then the miss path."""
+        cache_set = self._mc_sets[(line >> LINE_SHIFT) % self._mc_nsets]
+        cached = cache_set.get(line)
+        if cached is not None:
+            cache_set.move_to_end(line)
+            self._mc_hits.value += 1
+            return cached.payload, 0, 0
+        self._mc_misses.value += 1
+        return self._fetch_miss(level, index, line)
+
+    def _fetch_miss(self, level: int, index: int,
+                    line: int) -> tuple[TreeNode, int, int]:
+        """The part of :meth:`_fetch_chain` after the metadata cache
+        missed: snoop the eviction buffer, establish the trusted parent
+        counter, read and verify the node, install it.  Schemes with a
+        different trust chain override this."""
         buffered = self._victim_buffer.get(line)
         if buffered is not None:
             # Snoop hit in the eviction buffer: still on-chip, trusted.
@@ -286,8 +337,10 @@ class SecureMemoryController(ABC):
         buffered = self._victim_buffer.get(line)
         if buffered is not None:
             return buffered, latency, fetched
-        latency = max(latency, self.nvm.read_latency(line))
-        node = self.store.load(level, index)
+        read_latency, raw = self.nvm.timed_read(line)
+        if read_latency > latency:
+            latency = read_latency
+        node = self.store.decode(level, index, raw)
         self._meta_reads.value += 1
         if not node.verify(self.mac, line, parent_counter):
             raise IntegrityError(
@@ -316,17 +369,34 @@ class SecureMemoryController(ABC):
         just does not stall the pipeline).  Writes never use this: a
         persist is durable only after its HMAC is computed."""
         node, read_latency, fetched = self._fetch_chain(level, index)
-        hash_latency = self.hash_engine.charge(
-            fetched, parallel=self.parallel_hashing)
-        if not charge:
-            return node, 0
-        if speculative:
-            return node, read_latency
-        return node, read_latency + (hash_latency if fetched else 0)
+        return node, self._chain_latency(read_latency, fetched, charge,
+                                         speculative)
+
+    def _fetch_missed(self, level: int, index: int, line: int,
+                      charge: bool = True,
+                      speculative: bool = False) -> tuple[TreeNode, int]:
+        """:meth:`fetch_node` for a node at media ``line`` that the
+        caller's own (uncounted) probe of the metadata cache missed."""
+        self._mc_misses.value += 1
+        node, read_latency, fetched = self._fetch_miss(level, index, line)
+        return node, self._chain_latency(read_latency, fetched, charge,
+                                         speculative)
+
+    def _chain_latency(self, read_latency: int, fetched: int, charge: bool,
+                       speculative: bool) -> int:
+        """Charge the verification hashes of ``fetched`` nodes (one
+        parallel burst for SIT) and return the fetch's critical-path
+        latency (see :meth:`fetch_node`)."""
+        if fetched:
+            hash_latency = self.hash_engine.charge(
+                fetched, parallel=self.parallel_hashing)
+            if not speculative:
+                read_latency += hash_latency
+        return read_latency if charge else 0
 
     def _install(self, line: int, node: TreeNode, dirty: bool) -> None:
         victim = self.meta_cache.insert(line, payload=node, dirty=dirty)
-        if dirty:
+        if dirty and self.tracker is not None:
             level, index = self.store.coords_of(node)
             self._on_node_dirtied(level, index)
         if victim is not None and victim.dirty:
@@ -348,48 +418,121 @@ class SecureMemoryController(ABC):
     def _mark_dirty(self, node: TreeNode) -> None:
         """Mark an already-resident node dirty in the metadata cache."""
         if isinstance(node, CounterBlock):
-            line = self.amap.counter_block_addr(node.index)
+            level, index = 0, node.index
         else:
-            line = self.store.node_addr(node.level, node.index)
-        level, index = self.store.coords_of(node)
-        self._on_node_updated(level, index)
-        cached = self.meta_cache.peek(line)
+            level, index = node.level, node.index
+        line = self._level_base[level] + (index << LINE_SHIFT)
+        self._mark_line_dirty(
+            node, level, index, line,
+            self._mc_sets[(line >> LINE_SHIFT) % self._mc_nsets].get(line))
+
+    def _mark_line_dirty(self, node: TreeNode, level: int, index: int,
+                         line: int, cached) -> None:
+        """:meth:`_mark_dirty` for a caller that already holds the node's
+        coordinates, media ``line`` and its (uncounted) cache probe."""
+        if self.tracker is not None:
+            self._on_node_updated(level, index)
         if cached is None:
             # Node fell out between fetch and update (tiny caches in
             # stress tests): reinstall dirty.
             self._install(line, node, dirty=True)
-            return
-        if not cached.dirty:
+        elif not cached.dirty:
             cached.dirty = True
-            self._on_node_dirtied(level, index)
-
-    def _mark_clean(self, node: TreeNode) -> None:
-        if isinstance(node, CounterBlock):
-            line = self.amap.counter_block_addr(node.index)
-        else:
-            line = self.store.node_addr(node.level, node.index)
-        cached = self.meta_cache.peek(line)
-        if cached is not None and cached.dirty:
-            cached.dirty = False
-        level, index = self.store.coords_of(node)
-        self._on_node_cleaned(level, index)
+            if self.tracker is not None:
+                self._on_node_dirtied(level, index)
 
     # ==================================================================
     # Shared persist helpers used by scheme hooks
     # ==================================================================
     def _persist_node(self, node: TreeNode, cycle: int) -> int:
-        """Serialise ``node`` to NVM through the metadata WPQ partition.
-        Returns the WPQ stall (usually zero; PLP's branch persists can
-        back-pressure the 10-entry queue)."""
+        """Serialise ``node`` to NVM through the metadata WPQ partition
+        and mark its cached copy clean.  Returns the WPQ stall (usually
+        zero; PLP's branch persists can back-pressure the 10-entry
+        queue)."""
         if isinstance(node, CounterBlock):
-            addr = self.amap.counter_block_addr(node.index)
+            level, index = 0, node.index
         else:
-            addr = self.store.node_addr(node.level, node.index)
+            level, index = node.level, node.index
+        addr = self._level_base[level] + (index << LINE_SHIFT)
         stall = self.wpq.enqueue(addr, cycle, metadata=True)
-        self.store.save(node)
+        self.nvm.write_line(addr, node.to_bytes())
         self._meta_writes.value += 1
-        self._mark_clean(node)
+        cached = self._mc_sets[(addr >> LINE_SHIFT) % self._mc_nsets] \
+            .get(addr)
+        if cached is not None and cached.dirty:
+            cached.dirty = False
+        if self.tracker is not None:
+            self._on_node_cleaned(level, index)
         return stall
+
+    def _fetch_parent(self, level: int, index: int, charge: bool):
+        """Fetch the in-memory parent of node ``(level, index)`` for an
+        update.  Returns ``(parent, latency, parent_line, cached)`` where
+        ``cached`` is the parent's cache line (``None`` if a cascade
+        evicted it during the fetch)."""
+        plevel, pindex = level + 1, index // self._arity
+        pline = self._level_base[plevel] + (pindex << LINE_SHIFT)
+        cache_set = self._mc_sets[(pline >> LINE_SHIFT) % self._mc_nsets]
+        cached = cache_set.get(pline)
+        if cached is not None:
+            # Resident: the LRU touch and hit count of fetch_node's probe.
+            cache_set.move_to_end(pline)
+            self._mc_hits.value += 1
+            parent, latency = cached.payload, 0
+        else:
+            parent, latency = self._fetch_missed(plevel, pindex, pline,
+                                                 charge=charge)
+            cached = cache_set.get(pline)
+        if parent.__class__ is not SITNode:
+            expect_node(parent, SITNode, f"{self.name}: parent update")
+        return parent, latency, pline, cached
+
+    def _climb_branch(self, leaf: CounterBlock, leaf_index: int,
+                      delta: int) -> tuple[int, list[TreeNode],
+                                           tuple[int, ...]]:
+        """The eager-family branch walk: fetch every ancestor of the leaf
+        (charged), add ``delta`` to the counter covering the child, mark
+        it dirty and seal the child with that fresh counter.  The top
+        node is left for the caller to seal against the root.  Returns
+        ``(fetch_latency, branch_nodes, branch_addrs)``, leaf first."""
+        arity = self._arity
+        mask = self._counter_mask
+        addrs = self.amap.branch_addrs(leaf_index)
+        mac = self.mac
+        branch: list[TreeNode] = [leaf]
+        fetch_latency = 0
+        current: TreeNode = leaf
+        index = leaf_index
+        for level in range(1, self._tree_levels):
+            pindex = index // arity
+            paddr = addrs[level]
+            cache_set = self._mc_sets[(paddr >> LINE_SHIFT)
+                                      % self._mc_nsets]
+            cached = cache_set.get(paddr)
+            if cached is not None:
+                # Resident: the LRU touch and hit count of fetch_node.
+                cache_set.move_to_end(paddr)
+                self._mc_hits.value += 1
+                parent = cached.payload
+            else:
+                parent, latency = self._fetch_missed(level, pindex, paddr)
+                fetch_latency += latency
+                cached = cache_set.get(paddr)
+            if parent.__class__ is not SITNode:
+                expect_node(parent, SITNode,
+                            f"{self.name}: branch propagation")
+            slot = index % arity
+            counters = parent.counters
+            counters[slot] = (counters[slot] + delta) & mask
+            parent.hmac_stale = True
+            if cached is not None and self.tracker is None:
+                cached.dirty = True
+            else:
+                self._mark_line_dirty(parent, level, pindex, paddr, cached)
+            current.seal(mac, addrs[level - 1], counters[slot])
+            branch.append(parent)
+            current, index = parent, pindex
+        return fetch_latency, branch, addrs
 
     def _bump_parent(self, level: int, index: int, amount: int, cycle: int,
                      charge: bool) -> tuple[int, int]:
@@ -397,8 +540,8 @@ class SecureMemoryController(ABC):
         (the lazy/eager "+1 per child event" discipline) and return
         ``(new_counter_value, critical_latency)``.  Top-level nodes bump
         the Running_root register."""
-        slot = self.amap.parent_slot(index)
-        if level + 1 >= self.amap.tree_levels:
+        slot = index % self._arity
+        if level + 1 >= self._tree_levels:
             self.running_root.add(slot, amount)
             if self.obs.enabled:
                 self.obs.instant(ev.EV_ROOT_UPDATE, ev.TRACK_ROOT,
@@ -406,12 +549,15 @@ class SecureMemoryController(ABC):
                                  amount=amount, on_critical_path=charge)
             return (self.running_root.counter(slot),
                     REGISTER_UPDATE_CYCLES if charge else 0)
-        plevel, pindex = self.amap.parent_coords(level, index)
-        parent, latency = self.fetch_node(plevel, pindex, charge=charge)
-        expect_node(parent, SITNode, f"{self.name}: parent bump")
+        parent, latency, pline, cached = self._fetch_parent(level, index,
+                                                            charge)
         parent.bump_counter(slot, amount)
-        self._mark_dirty(parent)
-        return parent.counter(slot), latency if charge else 0
+        if cached is not None and self.tracker is None:
+            cached.dirty = True
+        else:
+            self._mark_line_dirty(parent, level + 1, parent.index, pline,
+                                  cached)
+        return parent.counters[slot], latency
 
     def _update_parent_counter(self, level: int, index: int,
                                set_to: int | None, bump_by: int | None,
@@ -420,8 +566,8 @@ class SecureMemoryController(ABC):
         overwrite it (counter-summing) or bump it (lazy +1).  Top-level
         nodes update the Running_root register instead.  Returns the
         critical-path latency when ``charge`` is true."""
-        slot = self.amap.parent_slot(index)
-        if level + 1 >= self.amap.tree_levels:
+        slot = index % self._arity
+        if level + 1 >= self._tree_levels:
             if set_to is not None:
                 self.running_root.set(slot, set_to)
             else:
@@ -431,23 +577,18 @@ class SecureMemoryController(ABC):
                                  register="running_root", slot=slot,
                                  on_critical_path=charge)
             return REGISTER_UPDATE_CYCLES if charge else 0
-        plevel, pindex = self.amap.parent_coords(level, index)
-        parent, latency = self.fetch_node(plevel, pindex, charge=charge)
-        expect_node(parent, SITNode, f"{self.name}: parent update")
+        parent, latency, pline, cached = self._fetch_parent(level, index,
+                                                            charge)
         if set_to is not None:
             parent.set_counter(slot, set_to)
         else:
             parent.bump_counter(slot, bump_by or 1)
-        self._mark_dirty(parent)
-        return latency if charge else 0
-
-    def drain_pending(self, cycle: int) -> int:
-        """Collect the eviction cycles accumulated by synchronous flushes
-        during the current operation — those are critical path (the cache
-        slots were needed) and the caller charges them."""
-        charged = self._flush_charge
-        self._flush_charge = 0
-        return charged
+        if cached is not None and self.tracker is None:
+            cached.dirty = True
+        else:
+            self._mark_line_dirty(parent, level + 1, parent.index, pline,
+                                  cached)
+        return latency
 
     # ==================================================================
     # Data path
@@ -470,26 +611,16 @@ class SecureMemoryController(ABC):
 
     def _bump_leaf(self, leaf: CounterBlock, line: int,
                    cycle: int) -> tuple[int, int]:
-        """Bump the minor counter for ``line``; handle overflow
-        re-encryption.  Returns ``(dummy_delta, extra_cycles)``."""
+        """The overflowing minor-counter bump for ``line`` (the common
+        bump is inline in :meth:`write_data`): major bump, minor reset and
+        whole-block re-encryption.  Returns ``(dummy_delta,
+        extra_cycles)``."""
         slot = self.amap.minor_slot_of_data(line)
-        bits = self.amap.counter_bits
-        if leaf.minors[slot] + 1 < MINOR_LIMIT:
-            # Fast path: a non-overflowing bump moves the dummy counter by
-            # exactly 1 (mod 2**bits), so skip the two 64-term sums and
-            # the minors snapshot the overflow path needs.
-            leaf.bump(slot)
-            self._mark_dirty(leaf)
-            return 1, 0
-        before = leaf.dummy_counter(bits)
-        # Overflow path: re-encrypting 64 lines dwarfs one copy.
+        # Re-encrypting 64 lines dwarfs one copy of the minors.
         old_minors = list(leaf.minors)  # reprolint: disable=hot-path-allocation
         old_major = leaf.major
         event = leaf.bump(slot)
         self._mark_dirty(leaf)
-        delta = (leaf.dummy_counter(bits) - before) & ((1 << bits) - 1)
-        if event is None:
-            return delta, 0
         # Minor overflow: re-encrypt the 64 covered lines (§II-B) and
         # refresh their ECC-resident MACs.
         self._overflows.add()
@@ -510,7 +641,7 @@ class SecureMemoryController(ABC):
             self._data_writes.add()
             extra += OVERFLOW_READ_CYCLES_PER_LINE
         self.hash_engine.charge(MINORS_PER_BLOCK, parallel=True)
-        return event.dummy_delta & ((1 << bits) - 1), extra
+        return event.dummy_delta & ((1 << self.amap.counter_bits) - 1), extra
 
     def write_data(self, addr: int, data: bytes | None, cycle: int,
                    persist: bool = True) -> WriteOutcome:
@@ -518,26 +649,64 @@ class SecureMemoryController(ABC):
         persist (clwb+sfence — the CPU waits) or a dirty writeback from the
         LLC (the CPU does not wait, but the latency still counts toward
         the Fig 9 write-latency metric)."""
-        line = self.amap.line_of(addr)
+        line = addr & _LINE_MASK
         self._op_cycle = cycle
         if self.obs.enabled:
             self.obs.set_now(cycle)
-        payload = self._payload_for(line, data)
-        leaf_index = self.amap.counter_block_of_data(line)
-        leaf, fetch_latency = self.fetch_node(0, leaf_index)
-        expect_node(leaf, CounterBlock, f"{self.name}: data write")
-        delta, overflow_cycles = self._bump_leaf(leaf, line, cycle)
+        if data is None and line in self._plaintexts:
+            payload = self._plaintexts[line]
+        else:
+            payload = self._payload_for(line, data)
+        if not 0 <= line < self._data_capacity:
+            self.amap.data_line_index(line)  # raises: not a data address
+        # Fetch the covering counter block; a resident one costs exactly
+        # the counted probe fetch_node would make.
+        leaf_index = line >> _LEAF_SHIFT
+        leaf_line = self._counter_base + (leaf_index << LINE_SHIFT)
+        cache_set = self._mc_sets[(leaf_line >> LINE_SHIFT)
+                                  % self._mc_nsets]
+        cached = cache_set.get(leaf_line)
+        if cached is not None:
+            cache_set.move_to_end(leaf_line)
+            self._mc_hits.value += 1
+            leaf, fetch_latency = cached.payload, 0
+        else:
+            leaf, fetch_latency = self._fetch_missed(0, leaf_index,
+                                                     leaf_line)
+            cached = cache_set.get(leaf_line)
+        if leaf.__class__ is not CounterBlock:
+            expect_node(leaf, CounterBlock, f"{self.name}: data write")
+        slot = (line >> LINE_SHIFT) % MINORS_PER_BLOCK
+        minors = leaf.minors
+        bumped = minors[slot] + 1
+        if bumped < MINOR_LIMIT:
+            # The common bump: no overflow, so the dummy counter moves by
+            # exactly one (CounterBlock.bump + _mark_dirty, inline).
+            minors[slot] = bumped
+            leaf.hmac_stale = True
+            if cached is not None and self.tracker is None:
+                cached.dirty = True
+            else:
+                self._mark_line_dirty(leaf, 0, leaf_index, leaf_line,
+                                      cached)
+            delta, overflow_cycles = 1, 0
+        else:
+            delta, overflow_cycles = self._bump_leaf(leaf, line, cycle)
         ciphertext = self.cme.encrypt(line, payload, leaf)
-        self.data_macs[line] = self._data_mac(line, ciphertext, leaf)
+        self.data_macs[line] = self.mac.mac(line, ciphertext, leaf.major,
+                                            leaf.minors[slot])
         self._plaintexts[line] = payload
         scheme_cycles = self._on_leaf_persist(leaf, leaf_index, delta, cycle)
         wpq_stall = self.wpq.enqueue(line, cycle, metadata=False)
         self.nvm.write_line(line, ciphertext)
         self._data_writes.value += 1
-        flush_cycles = self.drain_pending(cycle)
+        # Eviction cycles accumulated by synchronous flushes during this
+        # operation are critical path: the cache slots were needed.
+        flush_cycles = self._flush_charge
+        self._flush_charge = 0
         critical = fetch_latency + overflow_cycles + scheme_cycles \
             + flush_cycles
-        latency = critical + wpq_stall + self.timing.write_service_cycles
+        latency = critical + wpq_stall + self._write_service_cycles
         self._write_latency.add(latency)
         self._verify_latency.add(fetch_latency)
         if self.obs.enabled:
@@ -555,16 +724,27 @@ class SecureMemoryController(ABC):
         """A data read missing all CPU caches: fetch + verify the counter
         chain (needed for the OTP), read the line, decrypt, and check the
         ECC-resident data MAC (speculatively, off the latency path)."""
-        line = self.amap.line_of(addr)
+        line = addr & _LINE_MASK
         self._op_cycle = cycle
         if self.obs.enabled:
             self.obs.set_now(cycle)
-        leaf_index = self.amap.counter_block_of_data(line)
-        leaf, fetch_latency = self.fetch_node(0, leaf_index,
-                                              speculative=True)
-        expect_node(leaf, CounterBlock, f"{self.name}: data read")
-        array_latency = self.nvm.read_latency(line)
-        ciphertext = self.nvm.read_line(line)
+        if not 0 <= line < self._data_capacity:
+            self.amap.data_line_index(line)  # raises: not a data address
+        leaf_index = line >> _LEAF_SHIFT
+        leaf_line = self._counter_base + (leaf_index << LINE_SHIFT)
+        cache_set = self._mc_sets[(leaf_line >> LINE_SHIFT)
+                                  % self._mc_nsets]
+        cached = cache_set.get(leaf_line)
+        if cached is not None:
+            cache_set.move_to_end(leaf_line)
+            self._mc_hits.value += 1
+            leaf, fetch_latency = cached.payload, 0
+        else:
+            leaf, fetch_latency = self._fetch_missed(
+                0, leaf_index, leaf_line, speculative=True)
+        if leaf.__class__ is not CounterBlock:
+            expect_node(leaf, CounterBlock, f"{self.name}: data read")
+        array_latency, ciphertext = self.nvm.timed_read(line)
         self._data_reads.value += 1
         stored_mac = self.data_macs.get(line)
         if stored_mac is None:
@@ -573,7 +753,9 @@ class SecureMemoryController(ABC):
         else:
             plaintext = self.cme.decrypt(line, ciphertext, leaf)
             self.hash_engine.charge(1, parallel=True)
-            if stored_mac != self._data_mac(line, ciphertext, leaf):
+            if stored_mac != self.mac.mac(
+                    line, ciphertext, leaf.major,
+                    leaf.minors[(line >> LINE_SHIFT) % MINORS_PER_BLOCK]):
                 raise IntegrityError(
                     f"{self.name}: data MAC mismatch at {line:#x} — "
                     "tampered user data detected")
@@ -583,7 +765,8 @@ class SecureMemoryController(ABC):
                     raise SimulationError(
                         f"functional mismatch at {line:#x}: decrypted "
                         "plaintext differs from the shadow copy")
-        flush_cycles = self.drain_pending(cycle)
+        flush_cycles = self._flush_charge
+        self._flush_charge = 0
         latency = max(array_latency, fetch_latency) + flush_cycles
         self._read_latency.add(latency)
         self._verify_latency.add(fetch_latency)

@@ -24,13 +24,10 @@ class BaselineController(SecureMemoryController):
     # ------------------------------------------------------------------
     # No tree: fetches read the counter block directly, unverified.
     # ------------------------------------------------------------------
-    def _fetch_chain(self, level: int, index: int) -> tuple[TreeNode, int, int]:
-        line = self.store.node_addr(level, index)
-        hit = self.meta_cache.lookup(line)
-        if hit is not None:
-            return hit.payload, 0, 0
-        latency = self.nvm.read_latency(line)
-        node = self.store.load(level, index)
+    def _fetch_miss(self, level: int, index: int,
+                    line: int) -> tuple[TreeNode, int, int]:
+        latency, raw = self.nvm.timed_read(line)
+        node = self.store.decode(level, index, raw)
         self._meta_reads.add()
         self._install(line, node, dirty=False)
         # Zero nodes fetched *for verification*: no hash charge follows.

@@ -62,14 +62,22 @@ class BMFIdealController(SecureMemoryController):
                 "BMF-ideal has no tree levels above the persistent roots")
         return super()._fetch_chain(level, index)
 
+    def _parent_counter_chain(self, level: int,
+                              index: int) -> tuple[int, int, int]:
+        # A leaf is verified against its persistent root: on-chip, free.
+        if level == 0 and self._tree_levels > 1:
+            root = self._persistent_root(index // self._arity)
+            return root.counter(index % self._arity), 0, 0
+        return super()._parent_counter_chain(level, index)
+
     # ------------------------------------------------------------------
     def _on_leaf_persist(self, leaf: CounterBlock, leaf_index: int,
                          dummy_delta: int, cycle: int) -> int:
-        root = self._persistent_root(leaf_index // self.amap.arity)
-        slot = self.amap.parent_slot(leaf_index)
+        root = self._persistent_root(leaf_index // self._arity)
+        slot = leaf_index % self._arity
         root.bump_counter(slot, dummy_delta)
-        addr = self.amap.counter_block_addr(leaf_index)
-        leaf.seal(self.mac, addr, root.counter(slot))
+        addr = self._counter_base + leaf_index * CACHE_LINE_SIZE
+        leaf.seal(self.mac, addr, root.counters[slot])
         hash_latency = self.hash_engine.charge(1)
         wpq_stall = self._persist_node(leaf, cycle) \
             if self.config.leaf_write_through else 0

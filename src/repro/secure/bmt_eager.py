@@ -102,19 +102,11 @@ class BMTEagerController(SecureMemoryController):
         return self.mac.mac(self.store.node_addr(level, index),
                             node.to_bytes())
 
-    def _load_bmt(self, level: int, index: int) -> BMTMediaNode:
-        raw = self.nvm.read_line(self.store.node_addr(level, index))
-        self._meta_reads.add()
-        return BMTMediaNode.from_bytes(level, index, raw, self.amap.arity)
-
     # ==================================================================
     # Fetch & verify: digest chain instead of counter MACs
     # ==================================================================
-    def _fetch_chain(self, level: int, index: int) -> tuple[TreeNode, int, int]:
-        line = self.store.node_addr(level, index)
-        hit = self.meta_cache.lookup(line)
-        if hit is not None:
-            return hit.payload, 0, 0
+    def _fetch_miss(self, level: int, index: int,
+                    line: int) -> tuple[TreeNode, int, int]:
         buffered = self._victim_buffer.get(line)
         if buffered is not None:
             return buffered, 0, 0
@@ -122,13 +114,14 @@ class BMTEagerController(SecureMemoryController):
         hit = self.meta_cache.peek(line)
         if hit is not None:
             return hit.payload, latency, fetched
-        latency = max(latency, self.nvm.read_latency(line))
+        read_latency, raw = self.nvm.timed_read(line)
+        latency = max(latency, read_latency)
+        self._meta_reads.add()
         if level == 0:
-            raw = self.nvm.read_line(line)
-            self._meta_reads.add()
             node: TreeNode = CounterBlock.from_bytes(index, raw)
         else:
-            node = self._load_bmt(level, index)
+            node = BMTMediaNode.from_bytes(level, index, raw,
+                                           self.amap.arity)
         if not (node.is_blank and expected == 0) \
                 and self._digest_of(node) != expected:
             raise IntegrityError(

@@ -25,9 +25,7 @@ from repro.secure.base import (
     RecoveryReport,
     SecureMemoryController,
     WriteOutcome,
-    expect_node,
 )
-from repro.tree.node import SITNode
 from repro.tree.store import TreeNode
 
 
@@ -51,16 +49,16 @@ class EagerController(SecureMemoryController):
     # Effective root: register + in-flight updates (runtime trust base)
     # ------------------------------------------------------------------
     def _root_counter(self, top_index: int) -> int:
-        slot = top_index % self.amap.arity
+        slot = top_index % self._arity
         effective = self.running_root.counter(slot)
-        pending = sum(delta for _, s, delta in self._pending_root
-                      if s == slot)
-        return (effective + pending) \
-            & ((1 << self.amap.counter_bits) - 1)
+        for _, pending_slot, delta in self._pending_root:
+            if pending_slot == slot:
+                effective += delta
+        return effective & self._counter_mask
 
     def _apply_due(self, cycle: int) -> None:
         """Land root updates whose crash window has closed."""
-        if self._crashing:
+        if self._crashing or not self._pending_root:
             return
         still_pending = []
         for entry in self._pending_root:
@@ -99,20 +97,10 @@ class EagerController(SecureMemoryController):
     # ------------------------------------------------------------------
     def _on_leaf_persist(self, leaf: CounterBlock, leaf_index: int,
                          dummy_delta: int, cycle: int) -> int:
-        fetch_latency = 0
-        current: TreeNode = leaf
-        level, index = 0, leaf_index
-        while level + 1 < self.amap.tree_levels:
-            plevel, pindex = self.amap.parent_coords(level, index)
-            parent, latency = self.fetch_node(plevel, pindex, charge=True)
-            fetch_latency += latency
-            expect_node(parent, SITNode, "eager: branch propagation")
-            slot = self.amap.parent_slot(index)
-            parent.bump_counter(slot, dummy_delta)
-            self._mark_dirty(parent)
-            current.seal(self.mac, self.store.node_addr(level, index),
-                         parent.counter(slot))
-            current, level, index = parent, plevel, pindex
+        fetch_latency, branch, branch_media = self._climb_branch(
+            leaf, leaf_index, dummy_delta)
+        current = branch[-1]
+        index = current.index
         # The root update trails the persist: its completion cycle is
         # scheduled by :meth:`write_data` once the operation's end is
         # known — the crash window of §III-B.  A crash right after the
@@ -125,8 +113,7 @@ class EagerController(SecureMemoryController):
         self._window_extra = fetch_latency + self.hash_engine.latency_cycles
         self._pending_root.append(
             [None, slot, dummy_delta])  # reprolint: disable=hot-path-allocation
-        current.seal(self.mac, self.store.node_addr(level, index),
-                     self._root_counter(index))
+        current.seal(self.mac, branch_media[-1], self._root_counter(index))
         if self.obs.enabled:
             self.obs.instant(ev.EV_LEAF_PERSIST, ev.TRACK_CTL,
                              scheme=self.name, leaf=leaf_index,

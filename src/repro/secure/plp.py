@@ -20,13 +20,9 @@ from __future__ import annotations
 
 from repro.cme.counters import CounterBlock
 from repro.crash.recovery import counter_summing_reconstruction
+from repro.mem.address import LINE_SHIFT
 from repro.obs import events as ev
-from repro.secure.base import (
-    RecoveryReport,
-    SecureMemoryController,
-    expect_node,
-)
-from repro.tree.node import SITNode
+from repro.secure.base import RecoveryReport, SecureMemoryController
 from repro.tree.store import TreeNode
 
 #: On-chip structures from the PLP paper (§V-F): the PTT is 616 B and the
@@ -48,79 +44,41 @@ class PLPController(SecureMemoryController):
     # ------------------------------------------------------------------
     def _on_leaf_persist(self, leaf: CounterBlock, leaf_index: int,
                          dummy_delta: int, cycle: int) -> int:
-        # The branch walk is the scheme's hot path (every persist touches
-        # the whole branch), so the media addresses come from the interned
-        # per-leaf chain instead of per-node store lookups, and the
-        # parent coordinates are plain arithmetic.
-        amap = self.amap
-        arity = amap.arity
-        tree_levels = amap.tree_levels
-        branch_media = amap.branch_addrs(leaf_index)
-        mac = self.mac
-        fetch_latency = 0
-        branch: list[TreeNode] = [leaf]  # reprolint: disable=hot-path-allocation
-        current: TreeNode = leaf
-        level, index = 0, leaf_index
-        depth = 0
-        meta_cache = self.meta_cache
-        while level + 1 < tree_levels:
-            plevel, pindex = level + 1, index // arity
-            # Meta-cache hit fast path: `charge(0)` is free, so a resident
-            # parent costs exactly the counted lookup `fetch_node` would
-            # do (uncounted peek first — a miss must be counted once, by
-            # the chain fetch, not twice).
-            paddr = branch_media[depth + 1]
-            if meta_cache.peek(paddr) is not None:
-                parent = meta_cache.lookup(paddr).payload
-                latency = 0
-            else:
-                parent, latency = self.fetch_node(plevel, pindex,
-                                                  charge=True)
-            fetch_latency += latency
-            if parent.__class__ is not SITNode:
-                expect_node(parent, SITNode, "plp: branch persist")
-            slot = index % arity
-            parent.bump_counter(slot, dummy_delta)
-            self._mark_dirty(parent)
-            current.seal(mac, branch_media[depth], parent.counter(slot))
-            branch.append(parent)
-            current, level, index = parent, plevel, pindex
-            depth += 1
+        fetch_latency, branch, branch_media = self._climb_branch(
+            leaf, leaf_index, dummy_delta)
         # Atomic root update: no crash window (the PTT journals the
         # branch, so either all of it lands or none of it does).
-        slot = index % arity
+        slot = branch[-1].index % self._arity
         self.running_root.add(slot, dummy_delta)
-        current.seal(mac, branch_media[depth],
-                     self.running_root.counter(slot))
+        branch[-1].seal(self.mac, branch_media[-1],
+                        self.running_root.counter(slot))
         hash_latency = self.hash_engine.charge(
             len(branch), parallel=self.parallel_hashing)
         # Persist the *entire* branch, plus a shadow copy of each
         # intermediate node (PTT journalling), through the 10-entry
         # metadata WPQ partition — the back-pressure source.
-        wpq = self.wpq
-        nvm = self.nvm
-        meta_writes = self._meta_writes
-        shadow_writes = self._shadow_writes
         wpq_stall = 0
         for depth, node in enumerate(branch):
             # `_persist_node` with the branch address precomputed:
             # enqueue, serialise, count, mark the cached copy clean
-            # (the dirty-tracking hooks are no-ops for this scheme).
+            # (PLP never carries a recovery tracker to notify).
             node_addr = branch_media[depth]
-            wpq_stall += wpq.enqueue(node_addr, cycle, metadata=True)
+            wpq_stall += self.wpq.enqueue(node_addr, cycle, metadata=True)
             raw = node.to_bytes()
-            nvm.write_line(node_addr, raw)
-            meta_writes.value += 1
-            cached = meta_cache.peek(node_addr)
+            self.nvm.write_line(node_addr, raw)
+            self._meta_writes.value += 1
+            cached = self._mc_sets[(node_addr >> LINE_SHIFT)
+                                   % self._mc_nsets].get(node_addr)
             if cached is not None and cached.dirty:
                 cached.dirty = False
             if depth:
                 # PTT shadow copy: the same bytes, enqueued and written
                 # again through the metadata partition.
-                wpq_stall += wpq.enqueue(node_addr, cycle, metadata=True)
-                nvm.write_line(node_addr, raw)
-                meta_writes.value += 1
-                shadow_writes.value += 1
+                wpq_stall += self.wpq.enqueue(node_addr, cycle,
+                                              metadata=True)
+                self.nvm.write_line(node_addr, raw)
+                self._meta_writes.value += 1
+                self._shadow_writes.value += 1
         if self.obs.enabled:
             self.obs.instant(ev.EV_LEAF_PERSIST, ev.TRACK_CTL,
                              scheme=self.name, leaf=leaf_index,

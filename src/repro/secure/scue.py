@@ -35,6 +35,7 @@ from repro.cme.counters import CounterBlock
 from repro.crash.anubis import AgitTracker, AsitTracker
 from repro.crash.recovery import counter_summing_reconstruction
 from repro.crash.star import StarTracker
+from repro.mem.address import CACHE_LINE_SIZE
 from repro.obs import events as ev
 from repro.secure.base import (
     REGISTER_UPDATE_CYCLES,
@@ -75,21 +76,6 @@ class SCUEController(SecureMemoryController):
         self._osiris_writebacks = self.stats.counter("osiris_writebacks")
 
     # ------------------------------------------------------------------
-    # Fast-recovery tracker wiring
-    # ------------------------------------------------------------------
-    def _on_node_dirtied(self, level: int, index: int) -> None:
-        if self.tracker is not None:
-            self.tracker.on_dirty(level, index)
-
-    def _on_node_updated(self, level: int, index: int) -> None:
-        if self.tracker is not None:
-            self.tracker.on_update(level, index)
-
-    def _on_node_cleaned(self, level: int, index: int) -> None:
-        if self.tracker is not None:
-            self.tracker.on_clean(level, index)
-
-    # ------------------------------------------------------------------
     def _root_slot_of_leaf(self, leaf_index: int) -> int:
         """Which Recovery_root counter covers this leaf: the index of the
         top-level subtree it belongs to (§IV-B2's "first 1/8 of the leaf
@@ -114,7 +100,7 @@ class SCUEController(SecureMemoryController):
                                          cycle)
         # 1. Dummy counter + one HMAC: everything needed is on-chip.
         dummy = leaf.dummy_counter(self.amap.counter_bits)
-        addr = self.amap.counter_block_addr(leaf_index)
+        addr = self._counter_base + leaf_index * CACHE_LINE_SIZE
         leaf.seal(self.mac, addr, dummy)
         hash_latency = self.hash_engine.charge(1)
         # 2. Shortcut: bump the Recovery_root immediately — the write is

@@ -41,10 +41,10 @@ def run_workload(config: SystemConfig, trace: TraceSource,
     reset so caches/WPQ state carries over but measurements start clean.
     ``max_accesses`` bounds the measured region (useful for unbounded
     generators).  ``recorder`` (a :class:`repro.obs.TraceRecorder`)
-    enables event tracing on the freshly built system; ``engine``
-    selects the access-loop implementation (see :class:`System`).  Both
-    are ignored when ``system`` is supplied (the caller already wired
-    them in).
+    enables event tracing on the freshly built system; ``engine`` is
+    validated and otherwise inert (see :class:`System`).  Both are
+    ignored when ``system`` is supplied (the caller already wired them
+    in).
     """
     sim = system or System(config, recorder=recorder, engine=engine)
     iterator = _as_iterator(trace)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 
 from repro.errors import AddressError, ConfigError
+from repro.mem.address import CACHE_LINE_SIZE
 from repro.mem.hierarchy import CacheHierarchy
 from repro.mem.trace import AccessType, MemoryAccess
 from repro.obs import events as ev
@@ -37,6 +38,9 @@ from repro.sim.config import SystemConfig
 from repro.sim.results import RunResult
 from repro.util.stats import StatGroup
 
+#: ``addr & _LINE_MASK`` line-aligns a byte address.
+_LINE_MASK = -CACHE_LINE_SIZE
+
 
 class System:
     """One simulated machine running one workload.
@@ -46,25 +50,20 @@ class System:
     than stored in :class:`SystemConfig`, which stays a pure, hashable
     experiment description (campaign cache keys depend on it).
 
-    ``engine`` selects the access-loop implementation and, like the
-    recorder, deliberately lives outside :class:`SystemConfig` — it can
-    never change a result, only how fast it is produced:
-
-    * ``"auto"`` (default): run eligible traces through the epoch-batched
-      engine (:mod:`repro.sim.epoch`); anything it cannot reproduce
-      byte-identically — recorders, sanitizer seams, crash knobs,
-      scalar-only environments — silently takes the scalar loop.
-    * ``"scalar"``: always the per-access reference loop.
-    * ``"epoch"``: require the epoch engine; raises ``ConfigError``
-      naming the blocker if the run is ineligible (used by the
-      equivalence tests so a fallback can't masquerade as coverage).
+    There is one access loop: :meth:`execute` through the controller
+    stack, whose persists reach the WPQ, the media and the root registers
+    only through the seams the persist-order sanitizer and the crash-state
+    explorer instrument — so the code they verify is the code that
+    produces every figure.  ``engine`` is kept for callers written when a
+    second, batched loop existed: ``"auto"`` and ``"scalar"`` both name
+    the one loop, anything else raises :class:`ConfigError`.
     """
 
     def __init__(self, config: SystemConfig, recorder=None,
                  engine: str = "auto") -> None:
-        if engine not in ("auto", "scalar", "epoch"):
+        if engine not in ("auto", "scalar"):
             raise ConfigError(
-                f"unknown engine {engine!r}; choose auto, scalar or epoch")
+                f"unknown engine {engine!r}; choose auto or scalar")
         self.engine = engine
         self.config = config
         self.obs = recorder if recorder is not None else NULL_RECORDER
@@ -84,11 +83,6 @@ class System:
         self._persists = self.stats.counter("persists")
         self._load_stalls = self.stats.counter("load_stall_cycles")
         self._persist_stalls = self.stats.counter("persist_stall_cycles")
-        # Hot-loop hoists: the address map is immutable and the data
-        # region bound is a config constant, so bind them once instead of
-        # three attribute hops per retired access.  (Controller methods
-        # are looked up per call — the sanitizer patches those seams.)
-        self._line_of = self.controller.amap.line_of
         self._data_capacity = config.data_capacity
 
     # ------------------------------------------------------------------
@@ -96,81 +90,75 @@ class System:
         """Retire one trace record (gap instructions + the memory op)."""
         attr = self.attribution.cycles
         retired = access.gap + 1
-        self.cycle += retired
+        cycle = self.cycle + retired
+        self.cycle = cycle
         attr["cpu"] += retired
         self._instructions.value += retired
-        line = self._line_of(access.addr)
+        line = access.addr & _LINE_MASK
         if line >= self._data_capacity:
             raise AddressError(
                 f"trace address {access.addr:#x} beyond the data region")
-        if access.kind is AccessType.READ:
+        controller = self.controller
+        kind = access.kind
+        if kind is AccessType.READ:
             self._loads.value += 1
             result = self.hierarchy.load(line)
             if result.miss_to_memory:
-                start = self.cycle
                 # An IntegrityError here is a detected attack: the run
                 # aborts, so the charged-but-unemitted cpu cycles never
                 # reach a report.
-                outcome = self.controller.read_data(  # reprolint: disable=exception-unsafe-attribution
-                    line, self.cycle)
-                self.cycle += outcome.latency
-                self._load_stalls.value += outcome.latency
+                outcome = controller.read_data(  # reprolint: disable=exception-unsafe-attribution
+                    line, cycle)
+                latency = outcome.latency
+                self.cycle = cycle + latency
+                self._load_stalls.value += latency
                 # latency == max(array, verify-chain) + flush: the
                 # overlapped max goes to whichever side dominated.
                 attr["read_flush"] += outcome.flush_cycles
-                overlapped = outcome.latency - outcome.flush_cycles
+                overlapped = latency - outcome.flush_cycles
                 if outcome.counter_fetch_latency > outcome.array_latency:
                     attr["read_verify"] += overlapped
                 else:
                     attr["read_media"] += overlapped
-                if self.obs.enabled and outcome.latency:
-                    self.obs.span(ev.EV_READ, ev.TRACK_CPU, start,
-                                  outcome.latency, addr=line)
-        elif access.kind is AccessType.WRITE:
+                if self.obs.enabled and latency:
+                    self.obs.span(ev.EV_READ, ev.TRACK_CPU, cycle,
+                                  latency, addr=line)
+        elif kind is AccessType.WRITE:
             self._stores.value += 1
             result = self.hierarchy.store(line)
             if access.data is not None:
                 # Remember the payload so the eventual writeback carries it.
-                self.controller._plaintexts[line] = \
-                    self.controller._payload_for(line, access.data)
+                controller._plaintexts[line] = \
+                    controller._payload_for(line, access.data)
         else:
             self._persists.value += 1
             result = self.hierarchy.persist(line)
-            start = self.cycle
             # Same modelling intent as the read path: a raise aborts
             # the simulation, no report is rendered from the ledger.
-            outcome = self.controller.write_data(  # reprolint: disable=exception-unsafe-attribution
-                line, access.data, self.cycle, persist=True)
-            self.cycle += outcome.cpu_stall
-            self._persist_stalls.value += outcome.cpu_stall
+            outcome = controller.write_data(  # reprolint: disable=exception-unsafe-attribution
+                line, access.data, cycle, persist=True)
+            stall = outcome.cpu_stall
+            self.cycle = cycle + stall
+            self._persist_stalls.value += stall
             # cpu_stall == fetch + overflow + scheme + flush + wpq_stall.
             attr["write_fetch"] += outcome.fetch_latency
             attr["write_overflow"] += outcome.overflow_cycles
             attr["write_scheme"] += outcome.scheme_cycles
             attr["write_flush"] += outcome.flush_cycles
             attr["write_wpq"] += outcome.wpq_stall
-            if self.obs.enabled and outcome.cpu_stall:
-                self.obs.span(ev.EV_PERSIST, ev.TRACK_CPU, start,
-                              outcome.cpu_stall, addr=line)
+            if self.obs.enabled and stall:
+                self.obs.span(ev.EV_PERSIST, ev.TRACK_CPU, cycle,
+                              stall, addr=line)
         for writeback in result.writebacks:
             if writeback < self._data_capacity:
-                self.controller.write_data(writeback, None, self.cycle,
-                                           persist=False)
-        self.controller.tick(self.cycle)
+                controller.write_data(writeback, None, self.cycle,
+                                      persist=False)
+        controller.tick(self.cycle)
 
     def run(self, trace: Iterable[MemoryAccess]) -> None:
-        if self.engine != "scalar":
-            # Lazy import: the epoch engine pulls in the scheme stack
-            # and (optionally) numpy; the scalar path never needs it.
-            from repro.sim import epoch
-            if self.engine == "epoch":
-                reason = epoch.ineligible_reason(self)
-                if reason is not None:
-                    raise ConfigError(f"epoch engine ineligible: {reason}")
-            if epoch.run_trace(self, trace):
-                return
+        execute = self.execute
         for access in trace:
-            self.execute(access)
+            execute(access)
 
     # ------------------------------------------------------------------
     def crash(self) -> None:

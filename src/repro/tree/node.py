@@ -84,10 +84,6 @@ class SITNode:
             raise ConfigError(
                 f"arity {self.arity} needs {expected_bits}-bit counters")
 
-    @property
-    def _mask(self) -> int:
-        return (1 << self.counter_bits) - 1
-
     # ------------------------------------------------------------------
     # Counters
     # ------------------------------------------------------------------
@@ -96,12 +92,13 @@ class SITNode:
 
     def set_counter(self, slot: int, value: int) -> None:
         """Overwrite a child counter (SCUE: parent counter := child dummy)."""
-        self.counters[slot] = value & self._mask
+        self.counters[slot] = value & ((1 << self.counter_bits) - 1)
         self.hmac_stale = True
 
     def bump_counter(self, slot: int, delta: int = 1) -> None:
         """Increment a child counter (lazy/eager: +1 per child event)."""
-        self.counters[slot] = (self.counters[slot] + delta) & self._mask
+        self.counters[slot] = (self.counters[slot] + delta) \
+            & ((1 << self.counter_bits) - 1)
         self.hmac_stale = True
 
     def dummy_counter(self) -> int:

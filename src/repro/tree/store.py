@@ -40,6 +40,11 @@ class SITStore:
         """Deserialise the node at ``(level, index)`` from media."""
         addr = self.node_addr(level, index)
         raw = self.nvm.read_line(addr) if counted else self.nvm.peek_line(addr)
+        return self.decode(level, index, raw)
+
+    def decode(self, level: int, index: int, raw: bytes) -> TreeNode:
+        """Deserialise the media image ``raw`` of node ``(level, index)``
+        (for callers that read the line themselves)."""
         if level == 0:
             return CounterBlock.from_bytes(index, raw)
         return SITNode.from_bytes(level, index, raw, arity=self.amap.arity)

@@ -24,7 +24,6 @@ BAD = {
     "bad_verify_in_callee.py": "unchecked-verify",
     "bad_attribution_escape.py": "exception-unsafe-attribution",
     "bad_hot_path_alloc.py": "hot-path-allocation",
-    "bad_epoch_kernel.py": "scalar-path-in-epoch-kernel",
     "bad_await_race.py": "await-atomicity",
     "bad_torn_write.py": "torn-file-write",
     "bad_blocking_async.py": "blocking-call-in-async",

@@ -87,6 +87,26 @@ class TestStatistics:
         assert hist.p99 >= 4000
         assert hist.p99 <= hist.maximum
 
+    def test_reads_between_adds_match_one_pass_accounting(self):
+        """Samples are tallied and folded into the buckets lazily (also
+        whenever the tally holds too many distinct values); reads at any
+        point must see exactly what sample-by-sample accounting gives."""
+        hist = LatencyHistogram()
+        rng = random.Random(5)
+        values = [rng.randrange(0, 1 << 20) for _ in range(10_000)]
+        for i, value in enumerate(values, start=1):
+            hist.add(value)
+            if i % 2_500 == 0:
+                seen = values[:i]
+                assert hist.count == i
+                assert hist.total == sum(seen)
+                assert (hist.minimum, hist.maximum) == (min(seen),
+                                                        max(seen))
+        expected = [0] * len(hist.counts)
+        for value in values:
+            expected[value.bit_length()] += 1
+        assert hist.counts == expected
+
     def test_p50_on_uniform_data(self):
         hist = LatencyHistogram()
         rng = random.Random(11)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import AddressError
+from repro.errors import AddressError, ConfigError
 from repro.mem.trace import AccessType, MemoryAccess
 from repro.sim.system import System
 
@@ -71,6 +71,16 @@ class TestExecution:
             system.execute(access)
             checkpoints.append(system.cycle)
         assert checkpoints == sorted(checkpoints)
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    def test_engine_spellings_name_the_one_loop(self, engine):
+        system = System(small_config(), engine=engine)
+        assert system.engine == engine
+
+    @pytest.mark.parametrize("engine", ["epoch", "vector", ""])
+    def test_unknown_engine_rejected(self, engine):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            System(small_config(), engine=engine)
 
 
 class TestWarmupReset:
