@@ -800,9 +800,11 @@ class HotPathAllocationRule(LintRule):
     #: is reviewable in one place and stable under refactors.
     HOT_FUNCTIONS = frozenset({
         "write_data", "read_data", "fetch_node", "_fetch_chain",
-        "_parent_counter_chain", "_bump_leaf", "_bump_parent",
-        "_update_parent_counter", "_on_leaf_persist", "_flush_node",
-        "_persist_node", "_mark_dirty", "_install",
+        "_fetch_line", "_fetch_miss", "_fetch_missed", "_fetch_parent",
+        "_parent_counter_chain", "_climb_branch", "_bump_leaf",
+        "_bump_parent", "_update_parent_counter", "_on_leaf_persist",
+        "_flush_node", "_persist_node", "_mark_dirty", "_mark_line_dirty",
+        "_install", "tick",
     })
 
     _ALLOC_CALLS = frozenset({"list", "dict", "set", "bytearray"})

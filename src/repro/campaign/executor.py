@@ -22,7 +22,9 @@ therefore driven by the cache, and the manifest is pure provenance.
 Workers are handed the :class:`CellSpec` itself, never live simulator
 state: the cell function rebuilds workload and system from the spec, so
 results are identical whichever process — or campaign invocation —
-computes them.
+computes them.  The one thing a serial campaign shares between cells is
+the (immutable) trace: consecutive cells with the same workload inputs
+run on one generated trace instead of regenerating it per scheme.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from repro.campaign.manifest import (
 from repro.campaign.progress import NullReporter, ProgressReporter
 from repro.campaign.spec import CampaignSpec, CellSpec
 from repro.errors import CampaignError
+from repro.mem.trace import MemoryAccess
 from repro.sim.driver import run_workload
 from repro.sim.results import RunResult
 from repro.workloads import make_workload
@@ -56,8 +59,8 @@ from repro.workloads import make_workload
 CellFn = Callable[[CellSpec], RunResult]
 
 
-def execute_cell(cell: CellSpec) -> RunResult:
-    """The real cell function: one workload on one config, from scratch.
+def _cell_trace(cell: CellSpec) -> list[MemoryAccess]:
+    """Generate ``cell``'s trace from its spec.
 
     Mirrors the classic serial harness exactly — ``record()`` when the
     workload caches its trace, a fresh generator otherwise — so a cell
@@ -65,10 +68,45 @@ def execute_cell(cell: CellSpec) -> RunResult:
     """
     workload = make_workload(cell.workload, cell.config.data_capacity,
                              cell.operations, seed=cell.seed)
-    trace = workload.record() if hasattr(workload, "record") \
+    return workload.record() if hasattr(workload, "record") \
         else list(workload.trace())
+
+
+def execute_cell(cell: CellSpec,
+                 trace: list[MemoryAccess] | None = None) -> RunResult:
+    """The real cell function: one workload on one config.
+
+    The trace is generated from the spec unless the caller passes the
+    one the cell's ``(workload, capacity, operations, seed)`` produces;
+    records are frozen, so one trace can feed any number of cells.
+    """
+    if trace is None:
+        trace = _cell_trace(cell)
     return run_workload(cell.config, trace, workload_name=cell.workload,
                         warmup_accesses=cell.warmup_accesses)
+
+
+def _trace_sharing_cells() -> CellFn:
+    """:func:`execute_cell` with a one-entry trace memo, for one serial
+    campaign.
+
+    Matrix and hash-sweep grids are ordered workload-major, so the cells
+    that share a trace run back to back and one entry serves all of
+    them.  The memo belongs to the returned function alone, so no trace
+    outlives the campaign that dropped it.
+    """
+    memo: dict[tuple, list[MemoryAccess]] = {}
+
+    def run(cell: CellSpec) -> RunResult:
+        key = (cell.workload, cell.config.data_capacity, cell.operations,
+               cell.seed)
+        trace = memo.get(key)
+        if trace is None:
+            memo.clear()            # free the last trace before building
+            trace = memo[key] = _cell_trace(cell)
+        return execute_cell(cell, trace)
+
+    return run
 
 
 @dataclass
@@ -140,6 +178,8 @@ def run_campaign(spec: CampaignSpec, *,
     state.save()
     try:
         if jobs == 1:
+            if cell_fn is execute_cell:
+                cell_fn = _trace_sharing_cells()
             _run_serial(state, pending, retries, backoff, fail_fast,
                         cell_fn)
         else:

@@ -390,12 +390,16 @@ def cmd_perf_compare(args: argparse.Namespace) -> int:
 
     code, lines = compare_reports(
         load_report(args.baseline), load_report(args.candidate),
-        threshold=args.threshold, advisory=args.advisory)
+        threshold=args.threshold, advisory=args.advisory,
+        exact_only=args.exact_only)
     for line in lines:
         print(line)
-    print(f"perf compare: {'FAIL' if code else 'OK'} "
-          f"(threshold {args.threshold:.0%}"
-          + (", advisory" if args.advisory else "") + ")")
+    if args.exact_only:
+        mode = "digests and exact costs only"
+    else:
+        mode = f"threshold {args.threshold:.0%}" \
+            + (", advisory" if args.advisory else "")
+    print(f"perf compare: {'FAIL' if code else 'OK'} ({mode})")
     return code
 
 
@@ -986,7 +990,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="allowed throughput regression (default 0.10)")
     pp.add_argument("--advisory", action="store_true",
                     help="warn instead of failing on throughput "
-                         "regressions; digest mismatches still fail")
+                         "regressions; digest mismatches and rising "
+                         "exact costs still fail")
+    pp.add_argument("--exact-only", action="store_true",
+                    help="compare only digests and the exact cost "
+                         "columns, and fail when the two reports ran on "
+                         "different interpreters")
     pp.set_defaults(func=cmd_perf_compare)
 
     p = sub.add_parser(

@@ -212,9 +212,9 @@ class CounterBlock:
         if self.hmac < 0 or self.hmac >> 64:
             raise ConfigError(
                 f"value {self.hmac} does not fit in 64 bits")
-        value = int.from_bytes(self._counter_image(), "little") \
-            | (self.hmac << _IMAGE_BITS)
-        return value.to_bytes(CACHE_LINE_SIZE, "little")
+        # The counter image fills the line's low 56 bytes, so the HMAC
+        # word is simply appended.
+        return self._counter_image() + self.hmac.to_bytes(8, "little")
 
     @classmethod
     def from_bytes(cls, index: int, data: bytes) -> "CounterBlock":

@@ -137,7 +137,9 @@ class WritePendingQueue:
             self._full_events.value += 1
             # Wait for enough drains to free a slot in this partition.
             while len(queue) >= capacity:
-                wait_until = max(self._next_drain_at, now + 1)
+                wait_until = self._next_drain_at
+                if wait_until <= now:
+                    wait_until = now + 1
                 stall += wait_until - now
                 self._now = now = wait_until
                 self._drain_due(wait_until)

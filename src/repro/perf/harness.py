@@ -31,6 +31,13 @@ The benchmark set:
   hot after the first touch).  Throughput is fetches/sec; the row's
   ``extra`` field records p50/p99 per-fetch latency in nanoseconds —
   the "memcache speed" number docs/serving.md promises for cache hits.
+
+The ``scheme:*`` and ``fig10_quick`` rows also carry **exact cost
+columns** (:data:`COST_COLUMNS`): Python calls, ``blake2b`` digests and
+NVM line reads/writes per access, counted in one extra run under
+``sys.setprofile``.  Unlike wall time these are noise-free — the same
+interpreter gives the same counts in every process — so
+:func:`compare_reports` fails on any increase, advisory or not.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ import hashlib
 import json
 import platform
 import statistics
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -69,6 +77,13 @@ FIG10_WORKLOADS = ("array", "queue")
 _REPEATS = {"access_loop": (5, 3), "scheme": (3, 1), "fig10_quick": (2, 1),
             "serve_cache_hit": (3, 1)}
 
+#: Repeat classes whose rows carry the exact cost columns.
+_COUNTED = ("scheme", "fig10_quick")
+
+#: The exact per-access cost columns, in report order.
+COST_COLUMNS = ("calls_per_access", "blake2b_per_access",
+                "nvm_reads_per_access", "nvm_writes_per_access")
+
 
 @dataclass(frozen=True)
 class BenchResult:
@@ -83,6 +98,8 @@ class BenchResult:
     #: Optional benchmark-specific measurements (e.g. latency
     #: percentiles).  Informational: compare_reports never reads it.
     extra: dict[str, Any] | None = None
+    #: The :data:`COST_COLUMNS` of a counted row (see :func:`count_costs`).
+    costs: dict[str, float] | None = None
 
     def to_dict(self) -> dict[str, Any]:
         row = {
@@ -94,6 +111,8 @@ class BenchResult:
         }
         if self.extra is not None:
             row["extra"] = self.extra
+        if self.costs is not None:
+            row.update(self.costs)
         return row
 
 
@@ -102,6 +121,58 @@ def result_digest(value: Any) -> str:
     payload = json.dumps(to_jsonable(value), sort_keys=True,
                          separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _clear_node_memos() -> None:
+    """Empty the process-wide node parse/image memos, so a counted run's
+    memo hits depend on its own benchmark only, not on what the process
+    ran before it."""
+    from repro.cme import counters
+    from repro.tree import node
+    for memo in (counters._PARSE_MEMO, counters._IMAGE_MEMO,
+                 node._PARSE_MEMO, node._IMAGE_MEMO):
+        memo.clear()
+
+
+def count_costs(runner: Callable[[], tuple[int, Any]]) -> dict[str, float]:
+    """The exact cost columns of ``runner``: one run after the node
+    memos are emptied and re-warmed by a first run, counted under
+    ``sys.setprofile``.
+
+    Calls are Python ``call`` events (generator resumptions included);
+    ``blake2b`` digests are ``digest()`` calls on ``hashlib.blake2b``
+    objects, one per MAC and three per one-time pad; NVM reads and
+    writes are calls of :meth:`NVMDevice.timed_read` and
+    :meth:`NVMDevice.write_line`, the device's counted accesses.  Each
+    is divided by the run's access count.
+    """
+    from repro.mem.nvm import NVMDevice
+    read_code = NVMDevice.timed_read.__code__
+    write_code = NVMDevice.write_line.__code__
+    counts = dict.fromkeys(COST_COLUMNS, 0)
+
+    def profile(frame, event, arg) -> None:
+        if event == "call":
+            counts["calls_per_access"] += 1
+            code = frame.f_code
+            if code is read_code:
+                counts["nvm_reads_per_access"] += 1
+            elif code is write_code:
+                counts["nvm_writes_per_access"] += 1
+        elif event == "c_call" and arg.__name__ == "digest" \
+                and type(getattr(arg, "__self__", None)).__name__ \
+                == "blake2b":
+            counts["blake2b_per_access"] += 1
+
+    _clear_node_memos()
+    runner()
+    sys.setprofile(profile)
+    try:
+        accesses, _ = runner()
+    finally:
+        sys.setprofile(None)
+    return {column: round(count / accesses, 6)
+            for column, count in counts.items()}
 
 
 # ----------------------------------------------------------------------
@@ -248,14 +319,18 @@ def run_benchmarks(quick: bool = False,
                     f"{repeat_digest[:12]} != {digest[:12]} across repeats")
         wall = statistics.median(walls)
         extra_fn = getattr(runner, "extra", None)
+        costs = count_costs(runner) if repeat_class in _COUNTED else None
         bench = BenchResult(name, accesses, wall,
                             accesses / wall if wall else 0.0,
                             digest, repeats,
-                            extra=extra_fn() if extra_fn else None)
+                            extra=extra_fn() if extra_fn else None,
+                            costs=costs)
         results[name] = bench.to_dict()
         say(f"  {name:<18s} {bench.accesses_per_sec:>12,.0f} acc/s  "
             f"({wall:.3f}s median of {repeats}, digest "
-            f"{digest[:12]})")
+            f"{digest[:12]})"
+            + (f", {costs['calls_per_access']:,.1f} calls/acc"
+               if costs else ""))
     return {
         "schema_version": SCHEMA_VERSION,
         "platform": {
@@ -305,20 +380,66 @@ def report_rows(label: str, report: dict[str, Any]
     return rows
 
 
+def _interpreter(report: dict[str, Any]) -> str:
+    """``"CPython 3.11"``-style tag of the interpreter a report ran on
+    (empty when the report does not say): call counts are comparable
+    only between runs on the same implementation and minor version."""
+    platform_info = report.get("platform", {})
+    version = platform_info.get("python", "")
+    return " ".join(filter(None, (
+        platform_info.get("implementation", ""),
+        ".".join(version.split(".")[:2]))))
+
+
+def _compare_costs(name: str, base: dict[str, Any], cand: dict[str, Any],
+                   lines: list[str]) -> bool:
+    """Append one line per cost column of a counted baseline row; returns
+    True when a column rose or is missing from the candidate."""
+    failed = False
+    for column in COST_COLUMNS:
+        if column not in base:
+            continue
+        was, now = base[column], cand.get(column)
+        if now is None:
+            lines.append(f"MISSING   {name}: no {column} in candidate")
+            failed = True
+        elif now > was:
+            lines.append(f"COST      {name}: {column} rose "
+                         f"{was:g} -> {now:g}")
+            failed = True
+        else:
+            lines.append(f"OK        {name}: {column} {now:g} "
+                         f"(baseline {was:g})")
+    return failed
+
+
 def compare_reports(baseline: dict[str, Any], candidate: dict[str, Any],
                     threshold: float = 0.10,
-                    advisory: bool = False) -> tuple[int, list[str]]:
+                    advisory: bool = False,
+                    exact_only: bool = False) -> tuple[int, list[str]]:
     """Compare a fresh perf report against a committed baseline.
 
     Returns ``(exit_code, report_lines)``.  A throughput drop larger
     than ``threshold`` fails (or warns under ``advisory`` — CI boxes are
     noisy); a **result-digest mismatch always fails**, advisory or not,
-    because it means the optimization changed simulation behaviour.
+    because it means the optimization changed simulation behaviour, and
+    so does **any rise in an exact cost column** (:data:`COST_COLUMNS`).
+    Cost columns are compared only between reports from the same
+    interpreter; ``exact_only`` skips the throughput rows and fails on an
+    interpreter mismatch instead, so a gate built on it cannot pass
+    without comparing a single count.
     """
     lines: list[str] = []
     failed = False
     base_benches = baseline["benchmarks"]
     cand_benches = candidate["benchmarks"]
+    same_interpreter = _interpreter(baseline) == _interpreter(candidate)
+    if not same_interpreter:
+        lines.append(
+            f"{'INTERP' if exact_only else 'SKIPPED':<9s} cost columns: "
+            f"baseline ran on {_interpreter(baseline) or 'unknown'}, "
+            f"candidate on {_interpreter(candidate) or 'unknown'}")
+        failed = exact_only
     for name, base in sorted(base_benches.items()):
         cand = cand_benches.get(name)
         if cand is None:
@@ -331,6 +452,10 @@ def compare_reports(baseline: dict[str, Any], candidate: dict[str, Any],
                 f"({base['digest'][:12]} -> {cand['digest'][:12]}) — "
                 "simulation output is no longer byte-identical")
             failed = True
+            continue
+        if same_interpreter and _compare_costs(name, base, cand, lines):
+            failed = True
+        if exact_only:
             continue
         base_rate = base["accesses_per_sec"]
         cand_rate = cand["accesses_per_sec"]

@@ -499,7 +499,10 @@ class SecureMemoryController(ABC):
         mask = self._counter_mask
         addrs = self.amap.branch_addrs(leaf_index)
         mac = self.mac
-        branch: list[TreeNode] = [leaf]
+        # The walk's result, handed to the scheme: one small list per
+        # persist.  A shared buffer would be one more piece of state an
+        # eviction flush nested inside the walk could overwrite.
+        branch: list[TreeNode] = [leaf]  # reprolint: disable=hot-path-allocation
         fetch_latency = 0
         current: TreeNode = leaf
         index = leaf_index

@@ -33,13 +33,17 @@ from repro.obs import events as ev
 from repro.obs.attribution import AttributionLedger, check_attribution
 from repro.obs.recorder import NULL_RECORDER
 from repro.secure import make_controller
-from repro.secure.base import RecoveryReport
+from repro.secure.base import RecoveryReport, SecureMemoryController
 from repro.sim.config import SystemConfig
 from repro.sim.results import RunResult
 from repro.util.stats import StatGroup
 
 #: ``addr & _LINE_MASK`` line-aligns a byte address.
 _LINE_MASK = -CACHE_LINE_SIZE
+#: Access kinds bound once: an enum member lookup through its class
+#: costs about ten plain global loads, twice per access.
+_READ = AccessType.READ
+_WRITE = AccessType.WRITE
 
 
 class System:
@@ -50,8 +54,8 @@ class System:
     than stored in :class:`SystemConfig`, which stays a pure, hashable
     experiment description (campaign cache keys depend on it).
 
-    There is one access loop: :meth:`execute` through the controller
-    stack, whose persists reach the WPQ, the media and the root registers
+    There is one access loop: each record retires through the
+    controller stack (:meth:`run`, :meth:`execute`), whose persists reach the WPQ, the media and the root registers
     only through the seams the persist-order sanitizer and the crash-state
     explorer instrument — so the code they verify is the code that
     produces every figure.  ``engine`` is kept for callers written when a
@@ -87,7 +91,13 @@ class System:
 
     # ------------------------------------------------------------------
     def execute(self, access: MemoryAccess) -> None:
-        """Retire one trace record (gap instructions + the memory op)."""
+        """Retire one trace record (gap instructions + the memory op) and
+        advance the controller's clock to the record's end."""
+        self.controller.tick(self._retire(access))
+
+    def _retire(self, access: MemoryAccess) -> int:
+        """:meth:`execute` without the closing clock advance; returns the
+        cycle the record retired at."""
         attr = self.attribution.cycles
         retired = access.gap + 1
         cycle = self.cycle + retired
@@ -100,7 +110,7 @@ class System:
                 f"trace address {access.addr:#x} beyond the data region")
         controller = self.controller
         kind = access.kind
-        if kind is AccessType.READ:
+        if kind is _READ:
             self._loads.value += 1
             result = self.hierarchy.load(line)
             if result.miss_to_memory:
@@ -123,7 +133,7 @@ class System:
                 if self.obs.enabled and latency:
                     self.obs.span(ev.EV_READ, ev.TRACK_CPU, cycle,
                                   latency, addr=line)
-        elif kind is AccessType.WRITE:
+        elif kind is _WRITE:
             self._stores.value += 1
             result = self.hierarchy.store(line)
             if access.data is not None:
@@ -153,12 +163,34 @@ class System:
             if writeback < self._data_capacity:
                 controller.write_data(writeback, None, self.cycle,
                                       persist=False)
-        controller.tick(self.cycle)
+        return self.cycle
 
     def run(self, trace: Iterable[MemoryAccess]) -> None:
-        execute = self.execute
-        for access in trace:
-            execute(access)
+        """Execute every record of ``trace``.
+
+        The base controller's clock advance only drains the WPQ, and
+        draining up to one cycle and then up to a later one leaves the
+        queue exactly as one drain up to the later cycle does.  Every
+        enqueue drains up to its own cycle first, so unless the scheme
+        does time-driven work on the clock (eager's in-flight root
+        updates) or a recorder timestamps the drains, one catch-up when
+        the run ends — or stops on an exception — stands in for the
+        per-record advances: the WPQ, its counters and what a crash
+        flushes are the same as after :meth:`execute` per record.
+        """
+        retire = self._retire
+        tick = self.controller.tick
+        if self.obs.enabled or getattr(tick, "__func__", None) \
+                is not SecureMemoryController.tick:
+            for access in trace:
+                tick(retire(access))
+            return
+        retired = self.cycle
+        try:
+            for access in trace:
+                retired = retire(access)
+        finally:
+            tick(retired)
 
     # ------------------------------------------------------------------
     def crash(self) -> None:

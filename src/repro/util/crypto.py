@@ -68,13 +68,15 @@ class KeyedMac:
         """:meth:`mac` without the memo — for callers (node HMACs) that
         keep their own content-keyed memo and would otherwise populate
         both tables on every miss."""
-        h = hashlib.blake2b(key=self._key, digest_size=MAC_BYTES)
+        # One keyed call over the joined parts: the same digest as a
+        # hash object fed one ``update`` per part, without the object.
+        data = b""
         for part in parts:
-            if isinstance(part, int):
-                h.update(part.to_bytes(8, "little", signed=False))
-            else:
-                h.update(part)
-        return int.from_bytes(h.digest(), "little")
+            data += part.to_bytes(8, "little", signed=False) \
+                if isinstance(part, int) else part
+        return int.from_bytes(
+            hashlib.blake2b(data, key=self._key,
+                            digest_size=MAC_BYTES).digest(), "little")
 
     def mac_bytes(self, *parts: bytes | int) -> bytes:
         """Like :meth:`mac` but returns the raw 8-byte digest."""
@@ -99,11 +101,9 @@ def make_otp(key: bytes, line_addr: int, major: int, minor: int) -> bytes:
     if derived is None:
         derived = hashlib.blake2b(key, digest_size=32).digest()
         _DERIVED_KEYS[key] = derived
-    h = hashlib.blake2b(key=derived, digest_size=32)
-    h.update(line_addr.to_bytes(8, "little"))
-    h.update(major.to_bytes(8, "little"))
-    h.update(minor.to_bytes(2, "little"))
-    seed = h.digest()
+    seed = hashlib.blake2b(
+        line_addr.to_bytes(8, "little") + major.to_bytes(8, "little")
+        + minor.to_bytes(2, "little"), key=derived, digest_size=32).digest()
     # Expand 32 -> 64 bytes (== OTP_BYTES) with two counter-indexed blocks.
     return hashlib.blake2b(seed + b"\x00", digest_size=32).digest() \
         + hashlib.blake2b(seed + b"\x01", digest_size=32).digest()

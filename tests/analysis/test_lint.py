@@ -2,11 +2,14 @@
 fixture, stays quiet on the known-good twin, and honours suppressions
 and the baseline."""
 
+import ast
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis import Baseline, Linter
+from repro.analysis.lint import HotPathAllocationRule
 from repro.analysis.rules import Violation, get_rule
 from repro.errors import ConfigError
 
@@ -261,3 +264,17 @@ class TestPackageTree:
             Path(__file__).resolve().parents[2] / "analysis-baseline.txt")
         new, _, _ = baseline.split(Linter(repo_src).run())
         assert new == [], "\n".join(v.format() for v in new)
+
+
+class TestHotFunctionList:
+    def test_every_listed_name_is_defined_under_secure(self):
+        """RPL009 matches methods by name, so a listed name that no
+        longer exists under ``secure/`` silently checks nothing."""
+        secure = Path(repro.__file__).parent / "secure"
+        defined = {
+            node.name
+            for path in secure.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        missing = HotPathAllocationRule.HOT_FUNCTIONS - defined
+        assert not missing, f"RPL009 lists undefined names: {missing}"

@@ -9,11 +9,13 @@ from repro.cli import main
 from repro.errors import ConfigError
 from repro.perf.harness import (
     BENCH_NAMES,
+    COST_COLUMNS,
     PERF_SCHEMES,
     SCHEMA_VERSION,
     BenchResult,
     _benchmarks,
     compare_reports,
+    count_costs,
     load_report,
     result_digest,
     run_benchmarks,
@@ -21,8 +23,10 @@ from repro.perf.harness import (
 )
 
 
-def report_with(benches):
-    return {"schema_version": SCHEMA_VERSION, "platform": {},
+def report_with(benches, python=""):
+    platform = {"implementation": "CPython", "python": python} \
+        if python else {}
+    return {"schema_version": SCHEMA_VERSION, "platform": platform,
             "benchmarks": benches}
 
 
@@ -140,6 +144,86 @@ class TestCompareReports:
         assert compare_reports(base, cand, threshold=0.10)[0] == 1
 
 
+def counted(rate, calls, **overrides):
+    row = bench(rate)
+    row.update(dict.fromkeys(COST_COLUMNS, 1.0), calls_per_access=calls)
+    row.update(overrides)
+    return row
+
+
+class TestCompareCosts:
+    def test_equal_or_lower_costs_pass(self):
+        base = report_with({"a": counted(1000.0, 40.0)})
+        for calls in (40.0, 39.5):
+            code, lines = compare_reports(
+                base, report_with({"a": counted(1000.0, calls)}))
+            assert code == 0
+            assert not any(line.startswith("COST") for line in lines)
+
+    def test_rising_cost_fails_even_in_advisory_mode(self):
+        code, lines = compare_reports(
+            report_with({"a": counted(1000.0, 40.0)}),
+            report_with({"a": counted(5000.0, 40.000001)}),
+            advisory=True)
+        assert code == 1
+        assert any(line.startswith("COST") and "calls_per_access" in line
+                   for line in lines)
+
+    def test_each_column_is_gated(self):
+        for column in COST_COLUMNS:
+            base = report_with({"a": counted(1000.0, 40.0)})
+            cand = report_with({"a": counted(1000.0, 40.0,
+                                             **{column: 50.0})})
+            assert compare_reports(base, cand)[0] == 1, column
+
+    def test_column_missing_from_candidate_fails(self):
+        code, lines = compare_reports(
+            report_with({"a": counted(1000.0, 40.0)}),
+            report_with({"a": bench(1000.0)}))
+        assert code == 1
+        assert any("no calls_per_access" in line for line in lines)
+
+    def test_uncounted_baseline_row_gates_nothing(self):
+        code, _ = compare_reports(report_with({"a": bench(1000.0)}),
+                                  report_with({"a": counted(1000.0, 9.0)}))
+        assert code == 0
+
+    def test_other_interpreter_skips_costs(self):
+        base = report_with({"a": counted(1000.0, 40.0)}, python="3.11.7")
+        cand = report_with({"a": counted(1000.0, 90.0)}, python="3.12.1")
+        code, lines = compare_reports(base, cand)
+        assert code == 0
+        assert lines[0].startswith("SKIPPED")
+
+    def test_patch_releases_share_an_interpreter(self):
+        base = report_with({"a": counted(1000.0, 40.0)}, python="3.11.7")
+        cand = report_with({"a": counted(1000.0, 90.0)}, python="3.11.9")
+        assert compare_reports(base, cand)[0] == 1
+
+    def test_exact_only_fails_on_another_interpreter(self):
+        base = report_with({"a": counted(1000.0, 40.0)}, python="3.11.7")
+        cand = report_with({"a": counted(1000.0, 40.0)}, python="3.12.1")
+        code, lines = compare_reports(base, cand, exact_only=True)
+        assert code == 1
+        assert lines[0].startswith("INTERP")
+
+    def test_exact_only_ignores_wall_clock(self):
+        code, lines = compare_reports(
+            report_with({"a": counted(1000.0, 40.0)}),
+            report_with({"a": counted(10.0, 40.0)}), exact_only=True)
+        assert code == 0
+        assert not any("acc/s" in line for line in lines)
+
+
+class TestCountCosts:
+    def test_counts_are_exact_and_repeatable(self):
+        (_, _, runner), = _benchmarks(("scheme:baseline",))
+        first = count_costs(runner)
+        assert set(first) == set(COST_COLUMNS)
+        assert all(value > 0 for value in first.values())
+        assert count_costs(runner) == first
+
+
 class TestBenchResult:
     def test_to_dict_rounds(self):
         row = BenchResult("a", 500, 0.1234567, 4051.23456, "e" * 64, 3)
@@ -163,6 +247,7 @@ class TestServeCacheHitBench:
         row = report["benchmarks"]["serve_cache_hit"]
         assert row["accesses"] == 2000
         extra = row["extra"]
+        assert not set(COST_COLUMNS) & set(row)
         assert 0 < extra["fetch_p50_ns"] <= extra["fetch_p99_ns"]
         assert len(row["digest"]) == 64
 
@@ -178,6 +263,7 @@ class TestSmokeRun:
         assert row["accesses_per_sec"] > 0
         assert len(row["digest"]) == 64
         int(row["digest"], 16)
+        assert all(row[column] > 0 for column in COST_COLUMNS)
 
     def test_cli_compare(self, tmp_path, capsys):
         base = tmp_path / "base.json"
@@ -189,3 +275,6 @@ class TestSmokeRun:
         assert main(["perf", "compare", str(base), str(cand),
                      "--advisory"]) == 0
         assert "ADVISORY" in capsys.readouterr().out
+        assert main(["perf", "compare", str(base), str(cand),
+                     "--exact-only"]) == 0
+        assert "exact costs only" in capsys.readouterr().out

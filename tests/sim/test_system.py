@@ -132,3 +132,62 @@ class TestCrash:
         system.crash()
         assert system.controller.stats.counter("data_writes").value \
             == writes_before
+
+
+def _flush_on_crash(system) -> list:
+    """Crash ``system`` and return the WPQ entries the crash flushed."""
+    flushed = []
+    flush = system.controller.wpq.flush
+
+    def capture():
+        entries = flush()
+        flushed.extend(entries)
+        return entries
+
+    system.controller.wpq.flush = capture
+    system.crash()
+    return flushed
+
+
+class TestClockCatchUp:
+    """``run`` advances the controller clock once at its end (or per
+    record where the scheme does timed work there); the outcome must be
+    what advancing it after every record gives."""
+
+    SCHEMES = ("baseline", "lazy", "eager", "plp", "bmf-ideal", "scue",
+               "bmt-eager")
+    #: A tiny WPQ, so stalls and drains happen within a few records.
+    TIGHT = dict(wpq_data_entries=4, wpq_metadata_entries=2)
+
+    @staticmethod
+    def _per_record(system, trace):
+        for access in trace:
+            system.execute(access)
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_run_equals_per_record_advances(self, scheme):
+        batched = System(small_config(scheme, **self.TIGHT))
+        stepped = System(small_config(scheme, **self.TIGHT))
+        warmup, measured = random_trace(40, seed=3), random_trace(120)
+        batched.run(warmup)
+        self._per_record(stepped, warmup)
+        for system in (batched, stepped):
+            system.reset_stats()
+        batched.run(measured)
+        self._per_record(stepped, measured)
+        assert batched.result() == stepped.result()
+        assert batched.controller.wpq.now == stepped.controller.wpq.now
+        assert _flush_on_crash(batched) == _flush_on_crash(stepped)
+
+    @pytest.mark.parametrize("scheme", ["scue", "plp"])
+    def test_run_stopped_by_an_error_equals_per_record(self, scheme):
+        trace = persist_trace(30) + [MemoryAccess(
+            AccessType.PERSIST, small_config().data_capacity)]
+        batched = System(small_config(scheme, **self.TIGHT))
+        stepped = System(small_config(scheme, **self.TIGHT))
+        with pytest.raises(AddressError):
+            batched.run(trace)
+        with pytest.raises(AddressError):
+            self._per_record(stepped, trace)
+        assert batched.controller.wpq.now == stepped.controller.wpq.now
+        assert _flush_on_crash(batched) == _flush_on_crash(stepped)
